@@ -1192,11 +1192,35 @@ Segmenter::exportWarmState() const
     state->ops = curMeta_;
     state->dpRows = lastDpRows_;
 
-    // Allocation pool: every signature this run priced or imported.
+    // Allocation pool: the allocations this run bound to a range —
+    // everything it priced plus the imports that served one. Unused
+    // imports are dropped, so retained state scales with one compile,
+    // not with the sweep behind it. Ranges served straight from the
+    // neighbor pool point into warmIn_; the sig-import pass seeded
+    // cache_ with every neighbor signature, so rebind through it.
+    auto owned = [this](const SegmentAllocation *alloc) {
+        if (warmIn_ == nullptr || warmIn_->allocs.empty()
+            || alloc < warmIn_->allocs.data()
+            || alloc >= warmIn_->allocs.data() + warmIn_->allocs.size())
+            return alloc;
+        const auto a =
+            static_cast<std::size_t>(alloc - warmIn_->allocs.data());
+        auto cit = cache_.find(warmIn_->sigs[a]);
+        return cit != cache_.end() ? &cit->second : nullptr;
+    };
+    std::vector<const SegmentAllocation *> targets;
+    targets.reserve(rangeLog_.size());
     std::unordered_map<const SegmentAllocation *, s64> index;
-    index.reserve(cache_.size());
+    index.reserve(rangeLog_.size());
+    for (const auto &entry : rangeLog_) {
+        targets.push_back(owned(entry.second));
+        index.emplace(targets.back(), -1);
+    }
     for (const auto &entry : cache_) {
-        index.emplace(&entry.second, static_cast<s64>(state->sigs.size()));
+        auto it = index.find(&entry.second);
+        if (it == index.end())
+            continue;
+        it->second = static_cast<s64>(state->sigs.size());
         state->sigs.push_back(entry.first);
         state->allocs.push_back(entry.second);
         auto bit = basisOf_.find(&entry.second);
@@ -1204,27 +1228,15 @@ Segmenter::exportWarmState() const
                                                      : LpWarmStart{});
     }
 
-    // Positional bindings. Ranges served straight from the neighbor
-    // pool alias a cache_ entry with the same signature (the sig-import
-    // pass seeded all of them), so rebind through it.
+    // Positional bindings.
     const s64 n1 = static_cast<s64>(curMeta_.size()) + 1;
     state->ranges.reserve(rangeLog_.size());
-    for (const auto &[key, alloc] : rangeLog_) {
-        auto it = index.find(alloc);
-        if (it == index.end() && warmIn_ != nullptr
-            && !warmIn_->allocs.empty()
-            && alloc >= warmIn_->allocs.data()
-            && alloc < warmIn_->allocs.data() + warmIn_->allocs.size()) {
-            const auto a = static_cast<std::size_t>(
-                alloc - warmIn_->allocs.data());
-            auto cit = cache_.find(warmIn_->sigs[a]);
-            if (cit != cache_.end())
-                it = index.find(&cit->second);
-        }
-        if (it == index.end())
-            continue;
-        state->ranges.push_back(
-            WarmRangeBinding{key / n1, key % n1, it->second});
+    for (std::size_t r = 0; r < rangeLog_.size(); ++r) {
+        const s64 key = rangeLog_[r].first;
+        const s64 slot = index.at(targets[r]);
+        if (slot >= 0)
+            state->ranges.push_back(
+                WarmRangeBinding{key / n1, key % n1, slot});
     }
     return state;
 }

@@ -146,8 +146,9 @@ class Segmenter
      *
      * setRetain(true) makes run() record its own search state so
      * exportWarmState() — valid until the next run()/setWarmState() —
-     * can hand it to the *next* neighbor. warmStats() reports what the
-     * last run() actually reused.
+     * can hand it to the *next* neighbor: the allocations run() bound
+     * to a range (priced or imported), never imports left unused.
+     * warmStats() reports what the last run() actually reused.
      */
     void setWarmState(std::shared_ptr<const CompilerWarmState> warm)
     {

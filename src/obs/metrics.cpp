@@ -316,6 +316,8 @@ metName(Met m)
         return "incremental.neighbor_partials";
     case Met::kIncrementalSigImports:
         return "incremental.sig_imports";
+    case Met::kIncrementalWarmFilesRead:
+        return "incremental.warm_files_read";
     case Met::kLpSolves: return "lp.solves";
     case Met::kLpWarmHits: return "lp.warm_hits";
     case Met::kLpWarmMisses: return "lp.warm_misses";

@@ -176,6 +176,7 @@ enum class Met : u32 {
     kIncrementalNeighborMisses,
     kIncrementalNeighborPartials,
     kIncrementalSigImports,
+    kIncrementalWarmFilesRead,
     kLpSolves,
     kLpWarmHits,
     kLpWarmMisses,

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <system_error>
 
+#include "obs/obs.hpp"
 #include "support/atomic_file.hpp"
 #include "support/hash.hpp"
 #include "support/logging.hpp"
@@ -15,9 +16,9 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/** Same-family disk candidates examined per miss: the newest few files
- *  cover a decode sweep's live buckets without turning every cold
- *  compile into a directory-sized read. */
+/** Same-family disk candidates examined per family scan: the newest
+ *  few files cover a decode sweep's live buckets without turning a
+ *  cross-process warm start into a directory-sized read. */
 constexpr s64 kDiskScanCap = 8;
 
 } // namespace
@@ -82,6 +83,7 @@ WarmStateStore::loadFile(const std::string &path,
     std::string data;
     if (!readFileBytes(path, &data))
         return nullptr;
+    obs::count(obs::Met::kIncrementalWarmFilesRead);
     std::string_view payload;
     std::string error;
     if (!unwrapEnvelope(kWarmStateTag, data, &payload, &error)) {
@@ -136,7 +138,7 @@ WarmStateStore::findNeighbor(const StructuralDigest &digest)
 
     // Disk: the exact file first (same structure compiled by an earlier
     // process — e.g. its plan artifact was gc'ed but the sidecar
-    // survived), then the newest same-family files.
+    // survived; a missing file costs one failed open).
     StructuralDigest loaded_digest;
     if (auto state = loadFile(warmPath(digest), &loaded_digest)) {
         if (loaded_digest.family == digest.family
@@ -146,6 +148,12 @@ WarmStateStore::findNeighbor(const StructuralDigest &digest)
             return Neighbor{std::move(state), /*exact=*/true};
         }
     }
+    // Memory first: once this store holds state of the family, its
+    // family members on disk are ones it wrote or already loaded, so
+    // the directory scan below is only the cross-process warm start (a
+    // fresh process over an old cache directory).
+    if (best.state)
+        return best;
     const std::string family_prefix = "w-" + hexDigest(digest.family) + "-";
     struct Candidate
     {

@@ -12,7 +12,10 @@
  * prefers an exact structural match (full search-state reuse: the
  * compiler imports every DP row and skips the boundary search) and
  * falls back to the best same-family candidate (delta compile: the
- * differ re-searches only the changed window).
+ * differ re-searches only the changed window). Lookups are memory
+ * first: the directory is scanned for a family only while memory holds
+ * none of it, so a decode sweep reads no `.warm` file after its first
+ * bucket.
  *
  * Disk layout: one `w-<familyhex>-<exacthex>.warm` file per retained
  * state in the cache directory, a wrapEnvelope() document (tag +
@@ -46,9 +49,8 @@ namespace cmswitch {
  *  other tags and the compile falls back to cold). */
 inline constexpr std::string_view kWarmStateTag = "cmswitch-warm-state-v1\n";
 
-/** Retained states kept per family in memory (and loaded from disk per
- *  lookup): a decode sweep needs its few most recent KV buckets, not
- *  an unbounded history. */
+/** Retained states kept per family in memory: a decode sweep needs its
+ *  few most recent KV buckets, not an unbounded history. */
 inline constexpr s64 kWarmFamilyCapacity = 4;
 
 class WarmStateStore
@@ -69,7 +71,9 @@ class WarmStateStore
      * Best retained neighbor for @p digest, or a null state when the
      * family is unseen. Exact structural matches win; same-family
      * candidates are ranked by shared prefix/suffix window digests,
-     * then by recency.
+     * then by recency. Order: memory, the exact `.warm` file, then —
+     * only when memory holds nothing of the family — the newest
+     * same-family files on disk.
      */
     Neighbor findNeighbor(const StructuralDigest &digest);
 
@@ -102,7 +106,8 @@ class WarmStateStore
     void insertLocked(const StructuralDigest &digest,
                       std::shared_ptr<const CompilerWarmState> state);
 
-    /** Parse + validate one `.warm` file; null on any damage. */
+    /** Parse + validate one `.warm` file; null on any damage. Counts
+     *  `incremental.warm_files_read` for every file it reads. */
     std::shared_ptr<const CompilerWarmState>
     loadFile(const std::string &path, StructuralDigest *digest_out);
 

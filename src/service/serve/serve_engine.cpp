@@ -501,7 +501,7 @@ ServeEngine::statusLine(const std::string &id, bool interval)
         completedSnap_ = completed_;
     }
     w.endObject();
-    return w.str();
+    return serveLine(w);
 }
 
 std::string

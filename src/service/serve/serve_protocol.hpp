@@ -96,6 +96,13 @@ bool serveModelKnown(const std::string &model);
 bool serveModelIsTransformer(const std::string &model);
 /** @} */
 
+class JsonWriter;
+
+/** A finished compact document as one serve line: JsonWriter::str()
+ *  without its trailing '\n' — the transport frames lines, so every
+ *  serve line (responses and status) goes through here. */
+std::string serveLine(const JsonWriter &w);
+
 /** @{ Response renderers (compact one-line JSON, no trailing \n). */
 std::string renderServeAck(const std::string &id, const char *op);
 std::string renderServeError(const std::string &id,

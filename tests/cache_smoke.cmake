@@ -23,6 +23,11 @@
 #      plans cached at width 1 satisfy requests at any width;
 #   5. `cache verify` passes the warm directory, `cache gc
 #      --max-bytes 0` then reaps every artifact but never the sidecar.
+#   6. cross-process neighbor warm start: process A compiles a decode
+#      step at KV 128 into a fresh --cache-dir, process B compiles KV 160
+#      over it and must warm-start from A's .warm sidecar (a neighbor
+#      hit found by the directory scan) with a report byte-identical to
+#      a cold KV-160 compile.
 # Run as `cmake -DCMSWITCHC=<exe> -DWORK_DIR=<dir> -P cache_smoke.cmake`.
 
 if(NOT CMSWITCHC)
@@ -354,9 +359,46 @@ expect_json("${post_gc_stats}" ${job_count} stores)
 expect_json("${post_gc_stats}" 0 neighbor_hits)
 expect_json("${post_gc_stats}" ${job_count} neighbor_misses)
 
+# --- 6. cross-process neighbor: the directory scan finds A's state ----
+
+# run_decode(<name> <kv> <cache_dir>): one llama2-7b decode-step job.
+function(run_decode name kv cache)
+    file(WRITE ${WORK_DIR}/${name}.jobs
+         "--model llama2-7b --decode ${kv} --layers 2\n")
+    execute_process(COMMAND ${CMSWITCHC} batch --jobs ${WORK_DIR}/${name}.jobs
+                            --out-dir ${WORK_DIR}/${name} --cache-dir ${cache}
+                    RESULT_VARIABLE result
+                    ERROR_VARIABLE err)
+    if(NOT result EQUAL 0)
+        message(FATAL_ERROR "decode batch ${name} failed (${result}):\n${err}")
+    endif()
+endfunction()
+
+run_decode(kv128 128 ${WORK_DIR}/neighbor-cache)
+run_decode(kv160 160 ${WORK_DIR}/neighbor-cache)
+run_decode(kv160-cold 160 ${WORK_DIR}/neighbor-cold-cache)
+file(READ ${WORK_DIR}/kv128/summary.json kv128_summary)
+expect_summary("${kv128_summary}" 1 cache disk_neighbor_misses)
+file(READ ${WORK_DIR}/kv160/summary.json kv160_summary)
+expect_summary("${kv160_summary}" 1 cache disk_misses)
+string(JSON neighbor_hits GET "${kv160_summary}" cache disk_neighbor_hits)
+if(neighbor_hits LESS 1)
+    message(FATAL_ERROR "KV 160 over KV 128's cache dir found no neighbor "
+                        "(disk_neighbor_hits = ${neighbor_hits})")
+endif()
+set(report job000_llama2-7b_dynaplasia_cmswitch.json)
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+                        ${WORK_DIR}/kv160/${report}
+                        ${WORK_DIR}/kv160-cold/${report}
+                RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
+    message(FATAL_ERROR "KV 160 neighbor recompile differs from cold")
+endif()
+
 message(STATUS "cache_smoke: single-mode warm start, damaged-artifact "
                "recompile, sidecar stats, ${job_count}-job warm batch, "
-               "and gc/verify lifecycle all check out")
+               "gc/verify lifecycle and cross-process neighbor warm "
+               "start all check out")
 
 # Success: leave nothing behind (the guard at the top handles the
 # leftovers of *failed* runs).

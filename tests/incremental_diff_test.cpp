@@ -32,6 +32,7 @@
 #include "compiler/warm_state.hpp"
 #include "eval/evaluation.hpp"
 #include "models/model_zoo.hpp"
+#include "obs/obs.hpp"
 #include "service/compile_service.hpp"
 #include "service/disk_plan_cache.hpp"
 #include "service/incremental/incremental_compile.hpp"
@@ -101,6 +102,19 @@ generativeGraphs(const std::string &model_name)
         s64 kv_len = input_len + (tokens_lo + tokens_hi) / 2 + 1;
         graphs.push_back(buildTransformerDecodeStep(cfg, 1, kv_len));
     }
+    return graphs;
+}
+
+/** A longer decode sweep: llama2-7b (2 layers, batch 1) at KV lengths
+ *  128, 160, ... — @p buckets consecutive 32-token buckets. */
+std::vector<Graph>
+decodeSweep(s64 buckets)
+{
+    TransformerConfig cfg = transformerConfigByName("llama2-7b");
+    cfg.layers = 2;
+    std::vector<Graph> graphs;
+    for (s64 b = 0; b < buckets; ++b)
+        graphs.push_back(buildTransformerDecodeStep(cfg, 1, 128 + 32 * b));
     return graphs;
 }
 
@@ -229,6 +243,96 @@ TEST(IncrementalDiff, WarmStateSurvivesDiskRoundtrip)
         compiler->compileWarm(graph, neighbor.state, nullptr, &stats);
     EXPECT_EQ(resultBytes(warm), cold);
     EXPECT_GT(stats.dpRowsReused, 0);
+}
+
+/**
+ * Lookups are memory first: a same-process decode sweep over a
+ * directory-backed store reads no .warm file at all — every bucket
+ * after the first finds its neighbor in memory, and the exact-file
+ * probe of a never-compiled bucket finds nothing to read. The
+ * directory scan stays the cross-process warm start: a fresh store
+ * over the same directory must still find a family-only neighbor on
+ * disk, and the compile it seeds must match cold byte for byte.
+ */
+TEST(IncrementalDiff, DecodeSweepReadsNoWarmFilesInProcess)
+{
+    ScratchDir dir("memory_first");
+    ChipConfig chip = ChipConfig::dynaplasia();
+    auto compiler = makeCmSwitchCompiler(chip);
+    std::vector<Graph> graphs = decodeSweep(9);
+    const Graph next = graphs.back(); // never compiled by the sweep
+    graphs.pop_back();
+
+    obs::MetricsRegistry registry;
+    obs::install(&registry, nullptr);
+    const obs::Counter &filesRead =
+        registry.counter(obs::Met::kIncrementalWarmFilesRead);
+    {
+        WarmStateStore store(dir.str());
+        for (std::size_t i = 0; i < graphs.size(); ++i) {
+            SCOPED_TRACE("bucket " + std::to_string(i));
+            StructuralDigest digest =
+                requestStructuralDigest(makeRequest(chip, graphs[i]));
+            WarmStateStore::Neighbor neighbor = store.findNeighbor(digest);
+            EXPECT_EQ(neighbor.state == nullptr, i == 0);
+            EXPECT_EQ(filesRead.get(), 0);
+            std::shared_ptr<CompilerWarmState> retained;
+            compiler->compileWarm(graphs[i], neighbor.state, &retained,
+                                  nullptr);
+            // EXPECT, not ASSERT: an early return would leave the
+            // registry installed past its lifetime.
+            EXPECT_NE(retained, nullptr);
+            store.put(digest, std::move(retained));
+        }
+    }
+
+    WarmStateStore fresh(dir.str());
+    StructuralDigest digest = requestStructuralDigest(makeRequest(chip, next));
+    WarmStateStore::Neighbor neighbor = fresh.findNeighbor(digest);
+    const s64 scanned = filesRead.get();
+    obs::uninstall();
+    ASSERT_NE(neighbor.state, nullptr);
+    EXPECT_FALSE(neighbor.exact);
+    EXPECT_GT(scanned, 0);
+    WarmReuseStats stats;
+    CompileResult warm =
+        compiler->compileWarm(next, neighbor.state, nullptr, &stats);
+    EXPECT_EQ(resultBytes(warm), resultBytes(compiler->compile(next)));
+    EXPECT_GT(stats.reuseScore(), 0);
+}
+
+/**
+ * Retained state is bounded by one compile: the pool keeps what the run
+ * priced plus the imports that served a range, so chaining a long
+ * decode sweep through the service path must not grow it. The last
+ * bucket retains no more signatures than a cold compile of the same
+ * graph, and every link stays byte-identical to cold.
+ */
+TEST(IncrementalDiff, RetainedStateDoesNotGrowAlongSweep)
+{
+    ChipConfig chip = ChipConfig::dynaplasia();
+    std::vector<Graph> graphs = decodeSweep(8);
+    WarmStateStore store(""); // memory-only
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        SCOPED_TRACE("bucket " + std::to_string(i));
+        CompileRequest request = makeRequest(chip, graphs[i]);
+        std::string key = requestKey(request);
+        std::string cold =
+            resultBytes(compileArtifact(request, key)->result);
+        ArtifactPtr warm = compileArtifactIncremental(request, key, store,
+                                                      nullptr);
+        EXPECT_EQ(resultBytes(warm->result), cold);
+    }
+
+    const Graph &last = graphs.back();
+    WarmStateStore::Neighbor retained =
+        store.findNeighbor(requestStructuralDigest(makeRequest(chip, last)));
+    ASSERT_NE(retained.state, nullptr);
+    ASSERT_TRUE(retained.exact);
+    std::shared_ptr<CompilerWarmState> cold;
+    makeCmSwitchCompiler(chip)->compileWarm(last, nullptr, &cold, nullptr);
+    ASSERT_NE(cold, nullptr);
+    EXPECT_LE(retained.state->sigs.size(), cold->sigs.size());
 }
 
 /**

@@ -51,6 +51,16 @@ function(expect_field doc expected)
     endif()
 endfunction()
 
+# Every serve line is one JSON document + one '\n': the stream never
+# holds an empty line (in particular none after each response).
+function(expect_no_blank_line stream what)
+    string(FIND "${stream}" "\n\n" at)
+    string(FIND "${stream}" "\n" first)
+    if(NOT at EQUAL -1 OR first EQUAL 0)
+        message(FATAL_ERROR "${what} contains an empty line:\n${stream}")
+    endif()
+endfunction()
+
 # --- 1. stdin session: the pinned admission scenario ------------------
 
 file(WRITE ${WORK_DIR}/session.txt
@@ -77,6 +87,8 @@ execute_process(COMMAND ${CMSWITCHC} serve --max-inflight 1 --max-queue 2
 if(NOT result EQUAL 0)
     message(FATAL_ERROR "stdin serve session failed (${result}):\n${err}")
 endif()
+expect_no_blank_line("${out}" "stdin response stream")
+expect_no_blank_line("${err}" "stdin status stream")
 string(REPLACE "\n" ";" lines "${out}")
 
 # a compiled cold and led the group; its duplicate b rode along and got
@@ -249,6 +261,7 @@ execute_process(COMMAND ${CMSWITCHC} serve --connect ${sock}
 if(NOT result EQUAL 0)
     message(FATAL_ERROR "serve client failed (${result}):\n${err}")
 endif()
+expect_no_blank_line("${out}" "socket response stream")
 string(REPLACE "\n" ";" lines "${out}")
 
 response_for(g lines resp)
