@@ -16,15 +16,10 @@
  * and reference searches produce byte-identical plans, so the
  * speedup_vs_reference column measures pure search-efficiency gains.
  *
- * A fourth configuration times the optimized search at
- * kSearchThreads-way parallelism on the generative workloads (the
- * longest compiles), reported as search_threads_speedup per workload
- * plus a geomean summary. The config block records the search width
- * and std::thread::hardware_concurrency so the gate can skip the
- * speedup floor on machines with fewer cores than search threads
- * (a 1-core runner measures honest overhead, not parallelism).
+ * The config block records std::thread::hardware_concurrency next to
+ * the raw wall times, so a reader can tell the producing machine apart.
  *
- * A fifth configuration measures incremental (delta) compilation on
+ * A fourth configuration measures incremental (delta) compilation on
  * the generative workloads: each graph is recompiled warm from its own
  * retained state — the serving scenario where a plan artifact was
  * evicted but the .warm sidecar survived, an exact structural-digest
@@ -119,16 +114,8 @@ benchMain(int argc, char **argv)
     opts.warmups = args.warmups >= 0 ? args.warmups : 1;
     bench::Harness harness(opts);
 
-    // Search width of the parallel measurement. Fixed (not
-    // hardware-derived) so reports from different machines stay
-    // comparable; the gate decides from hardware_concurrency whether
-    // the speedup floor is meaningful on the producing machine.
-    const s64 kSearchThreads = 4;
-
     auto mlc = makeCimMlcCompiler(chip);
     auto ours = makeCmSwitchCompiler(chip);
-    auto ours_mt = makeCmSwitchCompiler(chip, /*referenceSearch=*/false,
-                                        kSearchThreads);
     CmSwitchOptions ref_options;
     ref_options.segmenter.referenceSearch = true;
     CmSwitchCompiler reference(chip, ref_options, "cmswitch-reference");
@@ -136,7 +123,6 @@ benchMain(int argc, char **argv)
     bench::BenchReport report("fig18_compile_time", opts);
     report.setConfig("sweep", args.full ? "full" : "trimmed");
     report.setConfig("chip", chip.name);
-    report.setConfig("search_threads", kSearchThreads);
     report.setConfig(
         "hardware_concurrency",
         static_cast<s64>(std::thread::hardware_concurrency()));
@@ -144,8 +130,8 @@ benchMain(int argc, char **argv)
     Table t("Fig. 18: compilation time (seconds, trimmed mean of "
             + std::to_string(opts.repeats) + " runs)");
     t.addRow({"model", "cim-mlc (s)", "cmswitch (s)", "ratio",
-              "reference (s)", "speedup", "mt-speedup", "warm-speedup"});
-    std::vector<double> ratios, speedups, mt_speedups, warm_speedups;
+              "reference (s)", "speedup", "warm-speedup"});
+    std::vector<double> ratios, speedups, warm_speedups;
     for (const ZooEntry &entry : fig14Benchmarks()) {
         std::vector<Graph> graphs = benchGraphs(entry, args.full);
         double mlc_s = compileSeconds(harness, *mlc, graphs);
@@ -156,23 +142,17 @@ benchMain(int argc, char **argv)
         ratios.push_back(ratio);
         speedups.push_back(speedup);
 
-        // The parallel-search and warm-neighbor dimensions are timed on
-        // the generative workloads only: they are the longest compiles
-        // (least noise), and timing them alone keeps the bench's
-        // runtime growth small.
-        double mt_s = -1.0, mt_speedup = -1.0;
+        // The warm-neighbor dimension is timed on the generative
+        // workloads only: they are the longest compiles (least noise),
+        // and timing them alone keeps the bench's runtime growth small.
         double warm_s = -1.0, warm_speedup = -1.0;
         if (entry.generative) {
-            mt_s = compileSeconds(harness, *ours_mt, graphs);
-            mt_speedup = ours_s / std::max(mt_s, 1e-9);
-            mt_speedups.push_back(mt_speedup);
             warm_s = compileWarmSeconds(harness, *ours, graphs);
             warm_speedup = ours_s / std::max(warm_s, 1e-9);
             warm_speedups.push_back(warm_speedup);
         }
         t.addRow(entry.name,
                  {mlc_s, ours_s, ratio, ref_s, speedup,
-                  entry.generative ? mt_speedup : 0.0,
                   entry.generative ? warm_speedup : 0.0},
                  3);
 
@@ -184,9 +164,7 @@ benchMain(int argc, char **argv)
             .metric("ratio_vs_cim_mlc", ratio)
             .metric("speedup_vs_reference", speedup);
         if (entry.generative) {
-            record.metric("cmswitch_parallel_seconds", mt_s)
-                .metric("search_threads_speedup", mt_speedup)
-                .metric("warm_neighbor_seconds", warm_s)
+            record.metric("warm_neighbor_seconds", warm_s)
                 .metric("warm_neighbor_speedup", warm_speedup);
         }
         report.add(std::move(record));
@@ -194,9 +172,6 @@ benchMain(int argc, char **argv)
     report.setSummary("geomean_ratio_vs_cim_mlc", bench::geomean(ratios));
     report.setSummary("geomean_speedup_vs_reference",
                       bench::geomean(speedups));
-    if (!mt_speedups.empty())
-        report.setSummary("geomean_search_threads_speedup",
-                          bench::geomean(mt_speedups));
     if (!warm_speedups.empty())
         report.setSummary("geomean_warm_neighbor_speedup",
                           bench::geomean(warm_speedups));

@@ -51,15 +51,6 @@ struct CompileRequest
 
     /** Run the frontend graph passes before compiling. */
     bool optimize = false;
-
-    /**
-     * Plan-search threads inside this one compile (>= 1). Plans are
-     * byte-identical for any value, so this is deliberately *not* part
-     * of requestKey(): artifacts compiled at different search widths
-     * share cache entries, in memory and on disk. Service entry points
-     * stamp CompileServiceOptions::searchThreads over this field.
-     */
-    s64 searchThreads = 1;
 };
 
 /**
@@ -146,10 +137,10 @@ struct CompileServiceOptions
     s64 threads = 1;        ///< worker pool size (>= 1)
     s64 cacheCapacity = 256;///< completed plans kept (>= 1)
 
-    /** Plan-search threads *within* each compile (>= 1); stamped onto
-     *  every request. Orthogonal to `threads`: one sizes the pool
-     *  across requests, the other the search inside a request. All
-     *  three knobs are validated (fatal) at construction. */
+    /** Legacy field whose only legal value is 1 (plan search is
+     *  serial; any other value fatals at construction). It exists only
+     *  because perfbench/src/plan_table.cpp still assigns it, and goes
+     *  with the next change to the benchmark. */
     s64 searchThreads = 1;
 
     /** Directory of the persistent cross-process plan cache; empty
@@ -194,9 +185,7 @@ class CompileService
 
     CompileServiceStats stats() const;
 
-    const CompileServiceOptions &options() const { return options_; }
-
-    /** The disk layer, or nullptr when options().cacheDir is empty. */
+    /** The disk layer, or nullptr when no cacheDir is set. */
     DiskPlanCache *diskCache() const { return disk_.get(); }
 
     /** The warm-state store behind incremental compilation, or nullptr

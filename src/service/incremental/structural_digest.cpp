@@ -125,9 +125,7 @@ requestStructuralDigest(const CompileRequest &request)
     // Context seed: everything warm state is only valid within. The
     // build fingerprint makes stale .warm files from an older build
     // unreachable (never found, eventually overwritten), exactly like
-    // requestKey() does for plan artifacts. searchThreads is excluded
-    // for the same reason it is excluded there: plans — and therefore
-    // retained search state — are byte-identical at any search width.
+    // requestKey() does for plan artifacts.
     u64 seed = buildFingerprint();
     seed = fnv1a64(serializeChipConfig(request.chip), seed);
     seed = fnv1a64(request.compilerId, seed);

@@ -115,11 +115,6 @@ class ServeEngine
      *  cumulative counters/quantiles, no interval block). */
     std::string statusJson();
 
-    const CompileServiceOptions &serviceOptions() const
-    {
-        return service_.options();
-    }
-
   private:
     /** One admitted compile: the leader request plus coalesced riders. */
     struct Group

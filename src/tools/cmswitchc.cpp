@@ -102,13 +102,9 @@ Options:
                       compiled plan for this exact request from DIR
                       (cmswitch-plan-v1 artifact files, shared across
                       processes) and store fresh compiles back
-  --search-threads N  plan-search threads inside the compile
-                      (default 1). Plans are byte-identical for any
-                      value, so this only changes compile time — and
-                      cached plans are shared across values
   --stats             print the latency/energy breakdown only
   --trace FILE        record the compile pipeline (frontend passes,
-                      segmenter DP phases, allocator probes, solver
+                      segmenter DP, allocator probes, solver
                       calls, cache lookups) and write a Chrome
                       trace-event JSON to FILE; open it in
                       chrome://tracing or https://ui.perfetto.dev.
@@ -131,12 +127,9 @@ report per job plus an aggregate summary:
   --cache-capacity N     compiled plans kept in memory (default 256)
   --cache-dir DIR        persistent plan cache shared with other runs
                          (lookups go memory -> disk -> compile)
-  --search-threads N     plan-search threads inside each compile
-                         (default 1; batch-level, not per job —
-                         deterministic, see single-mode flag above)
   --trace FILE           one Chrome trace-event JSON covering every
-                         job; service workers and search-pool threads
-                         appear as separate trace threads
+                         job; each service worker appears as a
+                         separate trace thread
   --job-latency          add each job's queue-wait/execute split to its
                          report (the same "observability"."request"
                          section serve responses and single-mode
@@ -167,8 +160,6 @@ outcomes (periodic --status-every lines add interval deltas):
   --cache-dir DIR        persistent plan cache; lookups go memory ->
                          disk -> neighbor -> cold and responses say
                          which step served them
-  --search-threads N     plan-search threads inside each compile
-                         (default 1)
   --trace FILE           Chrome trace-event JSON covering the whole
                          serve run, written on exit
   --metrics FILE         JSON metrics snapshot written on exit
@@ -187,8 +178,6 @@ all randomness comes from the scenario's seed, for any --threads:
   --out FILE             write the report to FILE (default stdout)
   --threads N            plan-table compile threads (default 1; the
                          event loop itself is single-threaded)
-  --search-threads N     plan-search threads inside each compile
-                         (default 1)
 
 Cache mode maintains a --cache-dir populated by earlier runs; every
 verb prints a JSON report to stdout:
@@ -250,7 +239,6 @@ struct CliArgs
     std::string cacheDir;
     std::string traceFile;
     std::string metricsFile;
-    s64 searchThreads = 1;
     bool statsOnly = false;
     bool optimize = false;
 };
@@ -347,8 +335,6 @@ parseFlags(const std::vector<std::string> &tokens, const std::string &context)
             args.traceFile = next();
         else if (flag == "--metrics")
             args.metricsFile = next();
-        else if (flag == "--search-threads")
-            args.searchThreads = nextInt(1);
         else if (flag == "--stats")
             args.statsOnly = true;
         else if (flag == "--optimize")
@@ -509,7 +495,6 @@ singleMain(int argc, char **argv)
     CliArgs args = parseCli(argc, argv);
     ObsSession session;
     session.start(args.traceFile, args.metricsFile);
-    obs::setGauge(obs::Gau::kSearchThreads, args.searchThreads);
 
     // The passes run inside compileArtifact (driven by request.optimize)
     // so a single-mode compile and the identical batch job line hash to
@@ -519,7 +504,6 @@ singleMain(int argc, char **argv)
     request.workload = resolveModel(args);
     request.compilerId = args.compiler;
     request.optimize = args.optimize;
-    request.searchThreads = args.searchThreads;
 
     ArtifactPtr artifact;
     auto executeStart = std::chrono::steady_clock::now();
@@ -695,7 +679,6 @@ struct BatchArgs
     std::string traceFile;
     s64 threads = 1;
     s64 cacheCapacity = 256;
-    s64 searchThreads = 1;
     bool jobLatency = false;
 };
 
@@ -725,8 +708,6 @@ parseBatchArgs(int argc, char **argv)
             args.cacheCapacity = nextInt(1);
         else if (flag == "--cache-dir")
             args.cacheDir = next();
-        else if (flag == "--search-threads")
-            args.searchThreads = nextInt(1);
         else if (flag == "--trace")
             args.traceFile = next();
         else if (flag == "--job-latency")
@@ -773,12 +754,11 @@ parseJobs(const BatchArgs &batch)
         CliArgs args = parseFlags(tokens, context);
         if (!args.outFile.empty() || !args.emitJson.empty()
             || !args.cacheDir.empty() || args.statsOnly
-            || args.searchThreads != 1 || !args.traceFile.empty()
-            || !args.metricsFile.empty()) {
+            || !args.traceFile.empty() || !args.metricsFile.empty()) {
             usageError(context + ": --out/--emit-json/--cache-dir/--stats/"
-                       "--search-threads/--trace/--metrics are not valid "
-                       "in batch jobs (reports go to --out-dir; the "
-                       "cache, search width and trace are batch-level)");
+                       "--trace/--metrics are not valid in batch jobs "
+                       "(reports go to --out-dir; the cache and trace "
+                       "are batch-level)");
         }
 
         BatchJob job;
@@ -828,12 +808,10 @@ batchMain(int argc, char **argv)
     }
     obs::install(&registry, recorder.get());
     obs::setGauge(obs::Gau::kServiceThreads, batch.threads);
-    obs::setGauge(obs::Gau::kSearchThreads, batch.searchThreads);
 
     auto t0 = std::chrono::steady_clock::now();
     CompileService service({.threads = batch.threads,
                             .cacheCapacity = batch.cacheCapacity,
-                            .searchThreads = batch.searchThreads,
                             .cacheDir = batch.cacheDir});
 
     // Stable addresses for the per-job latency out-structs: workers
@@ -891,10 +869,9 @@ batchMain(int argc, char **argv)
         sidecar = service.diskCache()->flushSidecar();
     JsonWriter w;
     w.beginObject()
-        .field("schema", "cmswitch-batch-summary-v5")
+        .field("schema", "cmswitch-batch-summary-v6")
         .field("jobs", static_cast<s64>(jobs.size()))
         .field("threads", batch.threads)
-        .field("search_threads", batch.searchThreads)
         .field("invalid_jobs", invalid)
         .field("wall_seconds", wall);
     w.key("cache")
@@ -981,7 +958,6 @@ struct ServeArgs
     s64 maxQueue = 16;
     s64 statusEvery = 0;
     s64 cacheCapacity = 256;
-    s64 searchThreads = 1;
 };
 
 ServeArgs
@@ -1016,8 +992,6 @@ parseServeArgs(int argc, char **argv)
             args.cacheCapacity = nextInt(1);
         else if (flag == "--cache-dir")
             args.cacheDir = next();
-        else if (flag == "--search-threads")
-            args.searchThreads = nextInt(1);
         else if (flag == "--trace")
             args.traceFile = next();
         else if (flag == "--metrics")
@@ -1054,7 +1028,6 @@ serveMain(int argc, char **argv)
     installServeSignalHandlers();
     ObsSession session;
     session.start(args.traceFile, args.metricsFile);
-    obs::setGauge(obs::Gau::kSearchThreads, args.searchThreads);
 
     int exitCode = 0;
     {
@@ -1066,7 +1039,6 @@ serveMain(int argc, char **argv)
         options.maxQueue = args.maxQueue;
         options.statusEvery = args.statusEvery;
         options.service.cacheCapacity = args.cacheCapacity;
-        options.service.searchThreads = args.searchThreads;
         options.service.cacheDir = args.cacheDir;
         ServeEngine engine(
             options,
@@ -1206,7 +1178,6 @@ simMain(int argc, char **argv)
     std::string scenario_file;
     std::string out_file;
     s64 threads = 1;
-    s64 search_threads = 1;
     for (int i = 2; i < argc; ++i) {
         std::string flag = argv[i];
         auto next = [&]() -> std::string {
@@ -1220,8 +1191,6 @@ simMain(int argc, char **argv)
             out_file = next();
         else if (flag == "--threads")
             threads = parseIntToken(flag, next(), 1, "");
-        else if (flag == "--search-threads")
-            search_threads = parseIntToken(flag, next(), 1, "");
         else if (flag == "--help") {
             std::cout << kUsage;
             return 0;
@@ -1241,7 +1210,6 @@ simMain(int argc, char **argv)
     }
     ServingSimOptions options;
     options.compileThreads = threads;
-    options.searchThreads = search_threads;
     SimResult result;
     if (!runServingSimulation(scenario, options, &result, &error)) {
         std::cerr << "cmswitchc: sim: " << error << "\n";

@@ -14,13 +14,7 @@
 #      (serial) then warm (4 threads) over a shared --cache-dir: the
 #      warm pass compiles nothing (every unique key is a disk hit),
 #      every per-job report is byte-identical to the cold serial run,
-#      and the v5 summaries carry matching sidecar/fingerprint fields;
-#   4b. the parallel plan search swept across real processes: a cold
-#      batch at --search-threads 8 (own cache dir, so all 48 cells
-#      really compile through the parallel search) must byte-match
-#      every cold-serial report, and a warm --search-threads 2 batch
-#      over the shared cache dir must serve every key from disk —
-#      plans cached at width 1 satisfy requests at any width;
+#      and the v6 summaries carry matching sidecar/fingerprint fields;
 #   5. `cache verify` passes the warm directory, `cache gc
 #      --max-bytes 0` then reaps every artifact but never the sidecar.
 #   6. cross-process neighbor warm start: process A compiles a decode
@@ -225,11 +219,11 @@ endfunction()
 
 # Cold pass: nothing on disk yet -> every unique key misses disk and is
 # stored; warm pass: every unique key is served from disk, zero stores.
-# The v5 summaries also carry the cross-process sidecar totals (cold
+# The v6 summaries also carry the cross-process sidecar totals (cold
 # flushed before its summary, warm sees cold's flush plus its own) and
 # the build fingerprint every process of this build agrees on.
 file(READ ${WORK_DIR}/cold-serial/summary.json cold_summary)
-expect_summary("${cold_summary}" cmswitch-batch-summary-v5 schema)
+expect_summary("${cold_summary}" cmswitch-batch-summary-v6 schema)
 expect_summary("${cold_summary}" ${job_count} jobs)
 expect_summary("${cold_summary}" 0 invalid_jobs)
 expect_summary("${cold_summary}" ${job_count} cache disk_misses)
@@ -290,49 +284,6 @@ foreach(report IN LISTS reports)
     endif()
 endforeach()
 
-# --- 4b. parallel plan search across processes ------------------------
-
-# Cold at --search-threads 8 against a fresh cache dir: every cell
-# compiles through the parallel search in a real process, and every
-# report must byte-match its cold-serial (--search-threads 1) twin.
-run_batch(1 ${WORK_DIR}/cold-st8 ${WORK_DIR}/batch-plan-cache-st8
-          --search-threads 8)
-file(READ ${WORK_DIR}/cold-st8/summary.json st8_summary)
-expect_summary("${st8_summary}" 8 search_threads)
-expect_summary("${st8_summary}" 0 invalid_jobs)
-expect_summary("${st8_summary}" ${job_count} cache disk_misses)
-foreach(report IN LISTS reports)
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            ${WORK_DIR}/cold-serial/${report}
-                            ${WORK_DIR}/cold-st8/${report}
-                    RESULT_VARIABLE same)
-    if(NOT same EQUAL 0)
-        message(FATAL_ERROR "${report} differs between --search-threads 1 "
-                            "(cold serial) and --search-threads 8 (cold)")
-    endif()
-endforeach()
-
-# Warm at --search-threads 2 over the shared cache dir: searchThreads is
-# not part of the request key, so plans stored by the width-1 cold run
-# must serve every width-2 request from disk — zero compiles.
-run_batch(2 ${WORK_DIR}/warm-st2 ${batch_cache} --search-threads 2)
-file(READ ${WORK_DIR}/warm-st2/summary.json st2_summary)
-expect_summary("${st2_summary}" 2 search_threads)
-expect_summary("${st2_summary}" 0 invalid_jobs)
-expect_summary("${st2_summary}" ${job_count} cache disk_hits)
-expect_summary("${st2_summary}" 0 cache disk_misses)
-expect_summary("${st2_summary}" 0 cache disk_stores)
-foreach(report IN LISTS reports)
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            ${WORK_DIR}/cold-serial/${report}
-                            ${WORK_DIR}/warm-st2/${report}
-                    RESULT_VARIABLE same)
-    if(NOT same EQUAL 0)
-        message(FATAL_ERROR "${report} differs between the cold serial "
-                            "and warm --search-threads 2 runs")
-    endif()
-endforeach()
-
 # --- 5. lifecycle: verify passes, gc reaps plans but not the sidecar --
 
 run_cache(verify_doc verify --cache-dir ${batch_cache})
@@ -346,14 +297,13 @@ expect_json("${gc_doc}" ${job_count} scanned_files)
 expect_json("${gc_doc}" ${job_count} deleted_files)
 expect_json("${gc_doc}" 0 kept_files)
 
-# Post-gc: the artifacts are gone, the sidecar totals are not. Two warm
-# passes hit this cache dir (warm-mt and warm-st2), the cold pass
-# missed+stored once per job.
+# Post-gc: the artifacts are gone, the sidecar totals are not. One warm
+# pass hit this cache dir (warm-mt), the cold pass missed+stored once
+# per job.
 run_cache(post_gc_stats stats --cache-dir ${batch_cache})
-math(EXPR two_warm_passes "${job_count} * 2")
 expect_json("${post_gc_stats}" 0 plan_files)
 expect_json("${post_gc_stats}" ON sidecar_present)
-expect_json("${post_gc_stats}" ${two_warm_passes} hits)
+expect_json("${post_gc_stats}" ${job_count} hits)
 expect_json("${post_gc_stats}" ${job_count} misses)
 expect_json("${post_gc_stats}" ${job_count} stores)
 expect_json("${post_gc_stats}" 0 neighbor_hits)

@@ -12,8 +12,10 @@
  * compiles the prefill program plus each per-KV-bucket decode step,
  * chaining every compile's retained state into a WarmStateStore so the
  * next bucket warm-starts from its nearest structural neighbor. The
- * whole battery runs at search widths 1 and 8 because warm import must
- * not perturb the sharded DP any more than the cold path does.
+ * sweep also runs as 8 concurrent searches, one compiler and store per
+ * thread as the compile service's workers use them, because plan
+ * search is serial and parallelism now comes only from running
+ * independent requests side by side.
  *
  * Byte-compare convention: CompileResult::writeBinary with
  * compileSeconds zeroed first — wall-clock is the one field that
@@ -26,6 +28,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/baseline.hpp"
@@ -128,81 +131,109 @@ makeRequest(const ChipConfig &chip, Graph graph)
     return request;
 }
 
+/**
+ * One generative replay (@p graphs, with its cold truth @p cold)
+ * chained through a fresh WarmStateStore exactly the way the compile
+ * service does, demanding byte-identity against the cold compile at
+ * every link. Along the way pin the neighbor topology the store must
+ * produce: the first graph of a family compiles cold, the second KV
+ * bucket warm-starts from the first (same family, different exact),
+ * and a same-graph relookup is an exact hit that reuses the full DP
+ * table.
+ */
+void
+checkWarmChain(const ChipConfig &chip, const std::vector<Graph> &graphs,
+               const std::vector<std::string> &cold)
+{
+    auto compiler = makeCmSwitchCompiler(chip);
+    WarmStateStore store(""); // memory-only
+    std::vector<StructuralDigest> digests;
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        SCOPED_TRACE("graph " + std::to_string(i));
+        CompileRequest request = makeRequest(chip, graphs[i]);
+        StructuralDigest digest = requestStructuralDigest(request);
+        digests.push_back(digest);
+
+        WarmStateStore::Neighbor neighbor = store.findNeighbor(digest);
+        if (i == 2) {
+            // Second decode bucket: same ops as the first, shifted
+            // KV shapes -> same family, non-exact neighbor.
+            ASSERT_NE(neighbor.state, nullptr);
+            EXPECT_FALSE(neighbor.exact);
+            EXPECT_EQ(digests[2].family, digests[1].family);
+            EXPECT_NE(digests[2].exact, digests[1].exact);
+        }
+
+        std::shared_ptr<CompilerWarmState> retained;
+        WarmReuseStats stats;
+        CompileResult warm = compiler->compileWarm(
+            request.workload, neighbor.state, &retained, &stats);
+        EXPECT_EQ(resultBytes(warm), cold[i])
+            << "warm result diverged from cold compile";
+        if (i == 2) {
+            EXPECT_GT(stats.reuseScore(), 0)
+                << "cross-bucket neighbor did no work";
+        }
+
+        ASSERT_NE(retained, nullptr);
+        store.put(digest, std::move(retained));
+    }
+
+    // Same-graph relookup: exact hit, full DP import, same bytes.
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+        SCOPED_TRACE("exact relookup " + std::to_string(i));
+        WarmStateStore::Neighbor neighbor = store.findNeighbor(digests[i]);
+        ASSERT_NE(neighbor.state, nullptr);
+        EXPECT_TRUE(neighbor.exact);
+        WarmReuseStats stats;
+        CompileResult warm = compiler->compileWarm(graphs[i], neighbor.state,
+                                                   nullptr, &stats);
+        EXPECT_EQ(resultBytes(warm), cold[i]);
+        EXPECT_GT(stats.dpRowsReused, 0);
+    }
+}
+
+/** Parameter: how many independent searches run the warm chain at once. */
 class IncrementalDiffThreads : public ::testing::TestWithParam<int>
 {
 };
 
 /**
- * The core differential: chain the generative replay through a
- * WarmStateStore exactly the way the compile service does, and demand
- * byte-identity against the cold compile at every link. Along the way
- * pin the neighbor topology the store must produce: the first graph of
- * a family compiles cold, the second KV bucket warm-starts from the
- * first (same family, different exact), and a same-graph relookup is
- * an exact hit that reuses the full DP table.
+ * The core differential: the cold truth comes from a compile with no
+ * warm machinery in sight, then GetParam() threads each run the whole
+ * warm chain with their own compiler and store. Every thread must
+ * reproduce the cold bytes, so no search state leaks between
+ * concurrent requests.
  */
 TEST_P(IncrementalDiffThreads, GenerativeKvSweepIsByteIdentical)
 {
-    const s64 threads = GetParam();
+    const int threads = GetParam();
     ChipConfig chip = ChipConfig::dynaplasia();
-    auto compiler = makeCmSwitchCompiler(chip, false, threads);
+    auto compiler = makeCmSwitchCompiler(chip);
 
     for (const char *model : {"llama2-7b", "opt-13b"}) {
         SCOPED_TRACE(model);
         std::vector<Graph> graphs = generativeGraphs(model);
         ASSERT_EQ(graphs.size(), 3u); // prefill + 2 decode buckets
 
-        // Cold truth, compiled with no warm machinery in sight.
         std::vector<std::string> cold;
         for (const Graph &g : graphs)
             cold.push_back(resultBytes(compiler->compile(g)));
 
-        WarmStateStore store(""); // memory-only
-        std::vector<StructuralDigest> digests;
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            SCOPED_TRACE("graph " + std::to_string(i));
-            CompileRequest request = makeRequest(chip, graphs[i]);
-            StructuralDigest digest = requestStructuralDigest(request);
-            digests.push_back(digest);
-
-            WarmStateStore::Neighbor neighbor = store.findNeighbor(digest);
-            if (i == 2) {
-                // Second decode bucket: same ops as the first, shifted
-                // KV shapes -> same family, non-exact neighbor.
-                ASSERT_NE(neighbor.state, nullptr);
-                EXPECT_FALSE(neighbor.exact);
-                EXPECT_EQ(digests[2].family, digests[1].family);
-                EXPECT_NE(digests[2].exact, digests[1].exact);
-            }
-
-            std::shared_ptr<CompilerWarmState> retained;
-            WarmReuseStats stats;
-            CompileResult warm = compiler->compileWarm(
-                request.workload, neighbor.state, &retained, &stats);
-            EXPECT_EQ(resultBytes(warm), cold[i])
-                << "warm result diverged from cold compile";
-            if (i == 2) {
-                EXPECT_GT(stats.reuseScore(), 0)
-                    << "cross-bucket neighbor did no work";
-            }
-
-            ASSERT_NE(retained, nullptr);
-            store.put(digest, std::move(retained));
+        if (threads == 1) {
+            checkWarmChain(chip, graphs, cold);
+            continue;
         }
-
-        // Same-graph relookup: exact hit, full DP import, same bytes.
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            SCOPED_TRACE("exact relookup " + std::to_string(i));
-            WarmStateStore::Neighbor neighbor =
-                store.findNeighbor(digests[i]);
-            ASSERT_NE(neighbor.state, nullptr);
-            EXPECT_TRUE(neighbor.exact);
-            WarmReuseStats stats;
-            CompileResult warm = compiler->compileWarm(
-                graphs[i], neighbor.state, nullptr, &stats);
-            EXPECT_EQ(resultBytes(warm), cold[i]);
-            EXPECT_GT(stats.dpRowsReused, 0);
+        std::vector<std::thread> workers;
+        for (int t = 0; t < threads; ++t) {
+            workers.emplace_back([&, t] {
+                SCOPED_TRACE(std::string(model) + " thread "
+                             + std::to_string(t));
+                checkWarmChain(chip, graphs, cold);
+            });
         }
+        for (std::thread &worker : workers)
+            worker.join();
     }
 }
 

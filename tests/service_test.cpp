@@ -167,20 +167,6 @@ TEST(RequestKey, EveryComponentChangesTheKey)
     EXPECT_NE(requestKey(base), requestKey(optimize));
 }
 
-TEST(RequestKey, SearchThreadsDoesNotChangeTheKey)
-{
-    // Plans are byte-identical for any search width (segmenter_diff
-    // thread sweep), so the width must stay out of the key: a warm
-    // cache serves requests compiled at any width.
-    CompileRequest base;
-    base.chip = testing::tinyChip(8);
-    base.workload = testing::chainMlp(2);
-
-    CompileRequest wide = base;
-    wide.searchThreads = 8;
-    EXPECT_EQ(requestKey(base), requestKey(wide));
-}
-
 TEST(CompileArtifactFn, CompilesValidatesAndPrices)
 {
     CompileRequest request;
@@ -197,7 +183,7 @@ TEST(CompileArtifactFn, CompilesValidatesAndPrices)
 
 TEST(CompileService, SubmitDeduplicatesIdenticalRequests)
 {
-    CompileService service({.threads = 4, .cacheCapacity = 16, .searchThreads = 1, .cacheDir = ""});
+    CompileService service({.threads = 4, .cacheCapacity = 16, .cacheDir = ""});
     CompileRequest request;
     request.chip = testing::tinyChip(8);
     request.workload = testing::chainMlp(2);
@@ -220,7 +206,7 @@ TEST(CompileService, SubmitDeduplicatesIdenticalRequests)
 
 TEST(CompileService, MixedRequestsAllCompile)
 {
-    CompileService service({.threads = 3, .cacheCapacity = 16, .searchThreads = 1, .cacheDir = ""});
+    CompileService service({.threads = 3, .cacheCapacity = 16, .cacheDir = ""});
     std::vector<std::future<ArtifactPtr>> futures;
     for (s64 n = 1; n <= 4; ++n) {
         CompileRequest request;
@@ -246,8 +232,7 @@ TEST(CompileService, MixedRequestsAllCompile)
 TEST(CompileService, RejectsInvalidOptionsAtConstruction)
 {
     // Regression: every service knob is validated fatally up front —
-    // a zero/negative pool or search width must never reach the worker
-    // spawn loop or a compile.
+    // a zero/negative pool must never reach the worker spawn loop.
     // Braces: `CompileService(no_workers)` would declare a variable.
     CompileServiceOptions no_workers;
     no_workers.threads = 0;
@@ -263,37 +248,35 @@ TEST(CompileService, RejectsInvalidOptionsAtConstruction)
                 "cacheCapacity");
 }
 
-TEST(CompileArtifactFn, RejectsInvalidSearchThreads)
+TEST(CompileService, RejectsParallelSearchThreads)
 {
-    CompileRequest request;
-    request.chip = testing::tinyChip(8);
-    request.workload = testing::chainMlp(2);
-    request.searchThreads = 0;
-    EXPECT_EXIT(compileArtifact(request), ::testing::ExitedWithCode(1),
-                "searchThreads");
+    // Plan search is serial: the legacy searchThreads field accepts
+    // only 1, so a caller still asking for a parallel search fails
+    // loudly instead of being silently ignored.
+    CompileServiceOptions parallel;
+    parallel.searchThreads = 2;
+    EXPECT_EXIT(CompileService{parallel}, ::testing::ExitedWithCode(1),
+                "searchThreads == 1");
 }
 
-TEST(CompileService, StampsSearchThreadsAndPreservesPlans)
+TEST(CompileService, CompileNowMatchesDirectCompile)
 {
-    // The service stamps its configured width onto every request; the
-    // resulting artifact must byte-match a serial compile of the same
-    // request (the determinism contract, exercised through the service
-    // entry points rather than the compiler directly).
+    // An artifact compiled through the service entry points must
+    // byte-match a direct compile of the same request.
     CompileRequest request;
     request.chip = testing::tinyChip(8);
     request.workload = testing::chainMlp(3);
 
-    ArtifactPtr serial = compileArtifact(request);
+    ArtifactPtr direct = compileArtifact(request);
 
     CompileServiceOptions options;
     options.threads = 2;
     options.cacheCapacity = 16;
-    options.searchThreads = 4;
     CompileService service(options);
-    ArtifactPtr parallel = service.compileNow(request);
-    ASSERT_NE(parallel, nullptr);
-    EXPECT_TRUE(parallel->validation.ok());
-    EXPECT_EQ(parallel->key, serial->key);
+    ArtifactPtr served = service.compileNow(request);
+    ASSERT_NE(served, nullptr);
+    EXPECT_TRUE(served->validation.ok());
+    EXPECT_EQ(served->key, direct->key);
 
     auto planBytes = [](const ArtifactPtr &a) {
         CompileResult result = a->result;
@@ -302,12 +285,12 @@ TEST(CompileService, StampsSearchThreadsAndPreservesPlans)
         result.writeBinary(w);
         return w.take();
     };
-    EXPECT_EQ(planBytes(parallel), planBytes(serial));
+    EXPECT_EQ(planBytes(served), planBytes(direct));
 }
 
 TEST(CompileService, CompileNowSharesCacheWithSubmit)
 {
-    CompileService service({.threads = 2, .cacheCapacity = 16, .searchThreads = 1, .cacheDir = ""});
+    CompileService service({.threads = 2, .cacheCapacity = 16, .cacheDir = ""});
     CompileRequest request;
     request.chip = testing::tinyChip(8);
     request.workload = testing::chainMlp(2);
