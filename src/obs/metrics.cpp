@@ -362,8 +362,8 @@ histName(Hist h)
     case Hist::kPhaseCodegen: return "phase.codegen_seconds";
     case Hist::kPhaseCompile: return "phase.compile_seconds";
     case Hist::kPhaseEnergy: return "phase.energy_seconds";
-    case Hist::kPhasePartition: return "phase.partition_seconds";
     case Hist::kPhasePasses: return "phase.frontend_passes_seconds";
+    case Hist::kPhasePartition: return "phase.partition_seconds";
     case Hist::kPhaseSegment: return "phase.segment_seconds";
     case Hist::kPhaseValidate: return "phase.validate_seconds";
     case Hist::kServeExecute: return "serve.execute_seconds";
@@ -376,31 +376,6 @@ histName(Hist h)
     cmswitch_panic("histName: bad histogram id ", static_cast<u32>(h));
 }
 
-Counter &
-MetricsRegistry::counter(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(dynamicMutex_);
-    auto it = dynamicCounters_.find(name);
-    if (it == dynamicCounters_.end())
-        it = dynamicCounters_
-                 .emplace(std::string(name), std::make_unique<Counter>())
-                 .first;
-    return *it->second;
-}
-
-LogHistogram &
-MetricsRegistry::histogram(std::string_view name)
-{
-    std::lock_guard<std::mutex> lock(dynamicMutex_);
-    auto it = dynamicHistograms_.find(name);
-    if (it == dynamicHistograms_.end())
-        it = dynamicHistograms_
-                 .emplace(std::string(name),
-                          std::make_unique<LogHistogram>())
-                 .first;
-    return *it->second;
-}
-
 void
 MetricsRegistry::reset()
 {
@@ -410,47 +385,26 @@ MetricsRegistry::reset()
         g.reset();
     for (auto &h : histograms_)
         h.reset();
-    std::lock_guard<std::mutex> lock(dynamicMutex_);
-    for (auto &[name, c] : dynamicCounters_)
-        c->reset();
-    for (auto &[name, h] : dynamicHistograms_)
-        h->reset();
 }
 
 void
 MetricsRegistry::writeJson(JsonWriter &w) const
 {
-    // Built-in name tables are already sorted (the enums are declared
-    // in name order), but merging through std::map keeps the sorted-key
-    // guarantee independent of enum declaration order and interleaves
-    // dynamic instruments correctly.
-    std::map<std::string, s64, std::less<>> counters;
-    for (u32 i = 0; i < static_cast<u32>(Met::kCount); ++i)
-        counters[metName(static_cast<Met>(i))] = counters_[i].get();
-    std::map<std::string, const LogHistogram *, std::less<>> histograms;
-    for (u32 i = 0; i < static_cast<u32>(Hist::kCount); ++i)
-        histograms[histName(static_cast<Hist>(i))] = &histograms_[i];
-    {
-        std::lock_guard<std::mutex> lock(dynamicMutex_);
-        for (const auto &[name, c] : dynamicCounters_)
-            counters[name] = c->get();
-        for (const auto &[name, h] : dynamicHistograms_)
-            histograms[name] = h.get();
-    }
-
+    // Each enum is declared in name order, so walking it emits sorted
+    // keys (obs_test pins the order).
     w.beginObject();
     w.key("counters").beginObject();
-    for (const auto &[name, value] : counters)
-        w.field(name, value);
+    for (u32 i = 0; i < static_cast<u32>(Met::kCount); ++i)
+        w.field(metName(static_cast<Met>(i)), counters_[i].get());
     w.endObject();
     w.key("gauges").beginObject();
     for (u32 i = 0; i < static_cast<u32>(Gau::kCount); ++i)
         w.field(gauName(static_cast<Gau>(i)), gauges_[i].get());
     w.endObject();
     w.key("quantiles").beginObject();
-    for (const auto &[name, hist] : histograms) {
-        w.key(name);
-        hist->writeJson(w);
+    for (u32 i = 0; i < static_cast<u32>(Hist::kCount); ++i) {
+        w.key(histName(static_cast<Hist>(i)));
+        histograms_[i].writeJson(w);
     }
     w.endObject();
     w.endObject();

@@ -13,12 +13,11 @@
  * future serve-daemon shards) and record() is a couple of relaxed
  * atomic adds — safe from any thread with no coordination.
  *
- * Hot instruments are enum-indexed (Met/Gau/Hist) into fixed arrays: no
- * name hashing or locking on the compile hot path. String-named
- * instruments exist too (mutex-guarded map) for tests and for callers
- * outside the built-in set.
+ * Every instrument is enum-indexed (Met/Gau/Hist) into a fixed array:
+ * no name hashing or locking on the compile hot path.
  *
- * Snapshots (`writeJson`) emit keys in sorted order, so two snapshots
+ * Snapshots (`writeJson`) emit keys in sorted order — each enum is
+ * declared in name order, and obs_test pins that — so two snapshots
  * of equally-counted registries are byte-identical; only histogram
  * timing fields (sum/min/max/p*) vary run to run.
  */
@@ -28,11 +27,7 @@
 
 #include <array>
 #include <atomic>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <string_view>
 
 #include "support/common.hpp"
 
@@ -156,7 +151,8 @@ class LogHistogram
     std::atomic<double> max_;
 };
 
-/** Built-in counters (enum-indexed: no lookup on the hot path). */
+/** Counters (enum-indexed: no lookup on the hot path), declared in
+ *  name order like the gauges and histograms below. */
 enum class Met : u32 {
     kAllocBisectionIters,
     kAllocProbeShortcuts,
@@ -198,8 +194,7 @@ enum class Met : u32 {
     kCount,
 };
 
-/** Built-in gauges (declared in name order: the snapshot's gauge keys
- *  come straight from the enum, not through a sorting map). */
+/** Gauges. */
 enum class Gau : u32 {
     kServeInflight,
     kServeQueueDepth,
@@ -207,15 +202,15 @@ enum class Gau : u32 {
     kCount,
 };
 
-/** Built-in latency histograms (all record seconds). */
+/** Latency histograms (all record seconds). */
 enum class Hist : u32 {
     kPhaseAllocate,
     kPhaseBackend,
     kPhaseCodegen,
     kPhaseCompile,
     kPhaseEnergy,
+    kPhasePasses, ///< phase.frontend_passes_seconds
     kPhasePartition,
-    kPhasePasses,
     kPhaseSegment,
     kPhaseValidate,
     kServeExecute,
@@ -230,12 +225,7 @@ const char *metName(Met m);
 const char *gauName(Gau g);
 const char *histName(Hist h);
 
-/**
- * The registry: owns every instrument for one observation session.
- * Built-ins live in fixed arrays; string-named extras are created on
- * first use under a mutex and live until the registry dies (returned
- * references stay valid).
- */
+/** The registry: owns every instrument for one observation session. */
 class MetricsRegistry
 {
   public:
@@ -247,12 +237,7 @@ class MetricsRegistry
     Gauge &gauge(Gau g) { return gauges_[static_cast<u32>(g)]; }
     LogHistogram &histogram(Hist h) { return histograms_[static_cast<u32>(h)]; }
 
-    /** @{ Dynamic string-named instruments (mutex on first use). */
-    Counter &counter(std::string_view name);
-    LogHistogram &histogram(std::string_view name);
-    /** @} */
-
-    /** Zero every instrument (built-in and dynamic). */
+    /** Zero every instrument. */
     void reset();
 
     /**
@@ -270,10 +255,6 @@ class MetricsRegistry
     std::array<Counter, static_cast<u32>(Met::kCount)> counters_;
     std::array<Gauge, static_cast<u32>(Gau::kCount)> gauges_;
     std::array<LogHistogram, static_cast<u32>(Hist::kCount)> histograms_;
-
-    mutable std::mutex dynamicMutex_;
-    std::map<std::string, std::unique_ptr<Counter>, std::less<>> dynamicCounters_;
-    std::map<std::string, std::unique_ptr<LogHistogram>, std::less<>> dynamicHistograms_;
 };
 
 } // namespace obs

@@ -39,12 +39,6 @@ compileArtifact(const CompileRequest &request)
 }
 
 ArtifactPtr
-compileArtifact(const CompileRequest &request, std::string key)
-{
-    return compileArtifact(request, std::move(key), nullptr);
-}
-
-ArtifactPtr
 compileArtifact(const CompileRequest &request, std::string key,
                 WarmCompileContext *warm)
 {
@@ -177,37 +171,25 @@ CompileService::lookup(const CompileRequest &request, const std::string &key,
     CacheOutcome produced = CacheOutcome::kCold;
     ArtifactPtr artifact = cache_.getOrCompute(key, [&]() -> ArtifactPtr {
         entered = true;
-        auto compile = [&]() -> ArtifactPtr {
-            // Neighbor step of the lookup chain: warm-start from the
-            // structurally closest retained search state. Byte-identical
-            // to the cold path, so memory/disk entries computed either
-            // way are interchangeable.
-            if (warmStore_) {
-                NeighborOutcome neighbor = NeighborOutcome::kMiss;
-                ArtifactPtr out = compileArtifactIncremental(
-                    request, key, *warmStore_, disk_.get(), &neighbor);
-                // Only a neighbor whose state did real work counts; a
-                // partial (found but nothing reusable) ran the full
-                // search and is a cold compile for reporting purposes.
-                produced = neighbor == NeighborOutcome::kHit
-                               ? CacheOutcome::kNeighbor
-                               : CacheOutcome::kCold;
-                return out;
-            }
-            produced = CacheOutcome::kCold;
+        if (!disk_)
             return compileArtifact(request, key);
-        };
-        if (disk_) {
-            bool compiled = false;
-            ArtifactPtr out = disk_->loadOrCompute(key, [&] {
-                compiled = true;
-                return compile();
-            });
-            if (!compiled)
-                produced = CacheOutcome::kDisk;
-            return out;
+        if (ArtifactPtr hit = disk_->load(key)) {
+            produced = CacheOutcome::kDisk;
+            return hit;
         }
-        return compile();
+        // Neighbor step: warm-start from the structurally closest
+        // retained search state. Byte-identical to the cold path, so
+        // memory/disk entries computed either way are interchangeable.
+        // Only a neighbor whose state did real work counts; a partial
+        // (found but nothing reusable) ran the full search and is a
+        // cold compile for reporting purposes.
+        NeighborOutcome neighbor = NeighborOutcome::kMiss;
+        ArtifactPtr compiled = compileArtifactIncremental(
+            request, key, *warmStore_, disk_.get(), &neighbor);
+        if (neighbor == NeighborOutcome::kHit)
+            produced = CacheOutcome::kNeighbor;
+        disk_->store(key, compiled);
+        return compiled;
     });
     if (outcome)
         *outcome = entered ? produced : CacheOutcome::kMemory;
@@ -246,7 +228,6 @@ CompileService::submit(CompileRequest request,
         std::lock_guard<std::mutex> lock(mutex_);
         cmswitch_fatal_if(stopping_,
                           "submit() on a stopping compile service");
-        ++requests_;
         queue_.push_back(std::move(task));
     }
     wake_.notify_one();
@@ -257,10 +238,6 @@ ArtifactPtr
 CompileService::compileNow(const CompileRequest &request,
                            CacheOutcome *outcome)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++requests_;
-    }
     std::string key = requestKey(request);
     obs::ScopedPhase execute(obs::Hist::kServiceExecute, "service.execute",
                              "service");
@@ -271,10 +248,6 @@ CompileServiceStats
 CompileService::stats() const
 {
     CompileServiceStats out;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        out.requests = requests_;
-    }
     out.cache = cache_.stats();
     if (disk_)
         out.disk = disk_->stats();

@@ -94,15 +94,14 @@ struct WarmCompileContext
  * resolve the compiler, run it, validate the program against the chip
  * and price its energy. This is the one compile path — service workers
  * and `cmswitchc` single-shot mode both funnel through it.
- * The two-argument form takes a precomputed requestKey() so hot paths
- * hash the request once; the three-argument form additionally threads
- * an incremental-compilation context through the compiler
+ * The keyed form takes a precomputed requestKey() so hot paths hash
+ * the request once, and may thread an incremental-compilation context
+ * @p warm through the compiler
  * (service/incremental/incremental_compile.hpp drives it).
  */
 ArtifactPtr compileArtifact(const CompileRequest &request);
-ArtifactPtr compileArtifact(const CompileRequest &request, std::string key);
 ArtifactPtr compileArtifact(const CompileRequest &request, std::string key,
-                            WarmCompileContext *warm);
+                            WarmCompileContext *warm = nullptr);
 
 /**
  * Which step of the service lookup chain produced an artifact:
@@ -152,7 +151,6 @@ struct CompileServiceOptions
 /** Snapshot of service activity. */
 struct CompileServiceStats
 {
-    s64 requests = 0; ///< submit() + compileNow() calls accepted
     PlanCacheStats cache;
     DiskPlanCacheStats disk; ///< all-zero when no cacheDir is set
 };
@@ -188,11 +186,6 @@ class CompileService
     /** The disk layer, or nullptr when no cacheDir is set. */
     DiskPlanCache *diskCache() const { return disk_.get(); }
 
-    /** The warm-state store behind incremental compilation, or nullptr
-     *  when options().cacheDir is empty (warm state rides along with
-     *  the persistent plan cache). */
-    WarmStateStore *warmStore() const { return warmStore_.get(); }
-
   private:
     void workerLoop();
 
@@ -205,13 +198,13 @@ class CompileService
     CompileServiceOptions options_;
     PlanCache cache_;
     std::unique_ptr<DiskPlanCache> disk_;
+    /** Warm state for the neighbor step; rides along with disk_. */
     std::unique_ptr<WarmStateStore> warmStore_;
 
     mutable std::mutex mutex_;
     std::condition_variable wake_;
     std::deque<std::packaged_task<ArtifactPtr()>> queue_;
     bool stopping_ = false;
-    s64 requests_ = 0;
 
     std::vector<std::thread> workers_;
 };

@@ -9,22 +9,18 @@
 #include "support/atomic_file.hpp"
 #include "support/json.hpp"
 #include "support/logging.hpp"
+#include "support/strings.hpp"
 
 namespace cmswitch {
 
 namespace fs = std::filesystem;
 
 void
-DiskPlanCacheStats::writeJsonFields(JsonWriter &w) const
+DiskPlanCacheStats::writeJsonFields(JsonWriter &w,
+                                    std::string_view prefix) const
 {
-    w.field("disk_hits", hits)
-        .field("disk_misses", misses)
-        .field("disk_stores", stores)
-        .field("disk_rejected", rejected)
-        .field("disk_touch_failed", touchFailed)
-        .field("disk_neighbor_hits", neighborHits)
-        .field("disk_neighbor_partials", neighborPartials)
-        .field("disk_neighbor_misses", neighborMisses);
+    for (const DiskStatField &row : kDiskStatFields)
+        w.field(concat(prefix, row.name), this->*row.member);
 }
 
 DiskPlanCache::DiskPlanCache(std::string directory)
@@ -46,14 +42,7 @@ DiskPlanCache::~DiskPlanCache()
     bool dirty;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        dirty = stats_.hits != flushed_.hits
-             || stats_.misses != flushed_.misses
-             || stats_.stores != flushed_.stores
-             || stats_.rejected != flushed_.rejected
-             || stats_.touchFailed != flushed_.touchFailed
-             || stats_.neighborHits != flushed_.neighborHits
-             || stats_.neighborPartials != flushed_.neighborPartials
-             || stats_.neighborMisses != flushed_.neighborMisses;
+        dirty = stats_ != flushed_;
     }
     // Nothing new since the last flush (e.g. batch mode flushed for its
     // summary moments ago): skip the sidecar I/O entirely.
@@ -76,18 +65,13 @@ DiskPlanCache::load(const std::string &key)
     bool missing = false;
     ArtifactPtr artifact = readPlanFile(path, key, &error, &missing);
     if (missing) { // absent: a plain miss, not a rejection
-        obs::count(obs::Met::kDiskCacheMisses);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.misses;
+        count(&DiskPlanCacheStats::misses);
         return nullptr;
     }
     if (!artifact) {
         informVerbose("ignoring plan file ", path, ": ", error);
-        obs::count(obs::Met::kDiskCacheMisses);
-        obs::count(obs::Met::kDiskCacheRejected);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.misses;
-        ++stats_.rejected;
+        count(&DiskPlanCacheStats::misses);
+        count(&DiskPlanCacheStats::rejected);
         return nullptr;
     }
     // Refresh the plan file's mtime so `cmswitchc cache gc` (LRU by
@@ -97,17 +81,11 @@ DiskPlanCache::load(const std::string &key)
     // running on stale read times.
     std::error_code ec;
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-    if (ec)
+    count(&DiskPlanCacheStats::hits);
+    if (ec) {
         informVerbose("plan cache hit ", path,
                       " but mtime refresh failed: ", ec.message());
-    obs::count(obs::Met::kDiskCacheHits);
-    if (ec)
-        obs::count(obs::Met::kDiskCacheTouchFailed);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.hits;
-        if (ec)
-            ++stats_.touchFailed;
+        count(&DiskPlanCacheStats::touchFailed);
     }
     return artifact;
 }
@@ -126,33 +104,34 @@ DiskPlanCache::store(const std::string &key, const ArtifactPtr &artifact)
     // never a torn file. A failed publication is a dropped store, not
     // an error — the cache is an accelerator, not a durability
     // contract.
-    if (!publishFileAtomically(planPath(key), image))
-        return;
-    obs::count(obs::Met::kDiskCacheStores);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.stores;
+    if (publishFileAtomically(planPath(key), image))
+        count(&DiskPlanCacheStats::stores);
 }
 
 void
 DiskPlanCache::recordNeighbor(NeighborOutcome outcome)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
     switch (outcome) {
-    case NeighborOutcome::kHit: ++stats_.neighborHits; break;
-    case NeighborOutcome::kPartial: ++stats_.neighborPartials; break;
-    case NeighborOutcome::kMiss: ++stats_.neighborMisses; break;
+    case NeighborOutcome::kHit:
+        count(&DiskPlanCacheStats::neighborHits);
+        break;
+    case NeighborOutcome::kPartial:
+        count(&DiskPlanCacheStats::neighborPartials);
+        break;
+    case NeighborOutcome::kMiss:
+        count(&DiskPlanCacheStats::neighborMisses);
+        break;
     }
 }
 
-ArtifactPtr
-DiskPlanCache::loadOrCompute(const std::string &key,
-                             const std::function<ArtifactPtr()> &compute)
+void
+DiskPlanCache::count(s64 DiskPlanCacheStats::*field)
 {
-    if (ArtifactPtr artifact = load(key))
-        return artifact;
-    ArtifactPtr artifact = compute();
-    store(key, artifact);
-    return artifact;
+    for (const DiskStatField &row : kDiskStatFields)
+        if (row.member == field)
+            obs::count(row.mirror);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++(stats_.*field);
 }
 
 DiskPlanCacheStats
@@ -168,22 +147,11 @@ DiskPlanCache::flushSidecar()
     DiskPlanCacheStats delta;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        delta.hits = stats_.hits - flushed_.hits;
-        delta.misses = stats_.misses - flushed_.misses;
-        delta.stores = stats_.stores - flushed_.stores;
-        delta.rejected = stats_.rejected - flushed_.rejected;
-        delta.touchFailed = stats_.touchFailed - flushed_.touchFailed;
-        delta.neighborHits = stats_.neighborHits - flushed_.neighborHits;
-        delta.neighborPartials =
-            stats_.neighborPartials - flushed_.neighborPartials;
-        delta.neighborMisses =
-            stats_.neighborMisses - flushed_.neighborMisses;
+        for (const DiskStatField &row : kDiskStatFields)
+            delta.*row.member = stats_.*row.member - flushed_.*row.member;
         flushed_ = stats_;
     }
-    if (delta.hits == 0 && delta.misses == 0 && delta.stores == 0
-        && delta.rejected == 0 && delta.touchFailed == 0
-        && delta.neighborHits == 0 && delta.neighborPartials == 0
-        && delta.neighborMisses == 0)
+    if (delta == DiskPlanCacheStats{})
         return readStatsSidecar(directory_);
     return mergeStatsSidecar(directory_, delta);
 }

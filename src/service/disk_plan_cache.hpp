@@ -5,8 +5,8 @@
  * cmswitch-plan-v1 format (service/artifact_io.hpp).
  *
  * Sits *under* the in-memory PlanCache: the compile service looks up
- * memory -> disk -> compile, so separate `cmswitchc` runs, batch jobs
- * and CI stages share plans through the filesystem.
+ * memory -> disk -> neighbor -> cold, so separate `cmswitchc` runs,
+ * batch jobs and CI stages share plans through the filesystem.
  *
  * Concurrency model: many processes may read and write one cache
  * directory at once. Writes go to a process-unique temporary file and
@@ -28,10 +28,11 @@
 #ifndef CMSWITCH_SERVICE_DISK_PLAN_CACHE_HPP
 #define CMSWITCH_SERVICE_DISK_PLAN_CACHE_HPP
 
-#include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 
+#include "obs/metrics.hpp"
 #include "service/plan_cache.hpp"
 
 namespace cmswitch {
@@ -46,7 +47,9 @@ enum class NeighborOutcome {
     kMiss,    ///< no retained state in the request's family
 };
 
-/** Monotonic counters; snapshot via DiskPlanCache::stats(). */
+/** Monotonic counters; snapshot via DiskPlanCache::stats(). Every
+ *  field has one row in kDiskStatFields below, and every report, the
+ *  stats sidecar and the obs mirror render from that table. */
 struct DiskPlanCacheStats
 {
     s64 hits = 0;     ///< artifacts served from disk
@@ -55,18 +58,50 @@ struct DiskPlanCacheStats
     s64 rejected = 0; ///< corrupt / truncated / wrong-version / wrong-key
                       ///< files ignored (each also counts as a miss)
     s64 touchFailed = 0; ///< hits whose LRU mtime refresh failed (e.g. a
-                         ///< read-only cache dir); the hit still serves.
-                         ///< Persisted in the v2 sidecar alongside the
-                         ///< four totals above (v1 files read as zero)
-    /** @{ Incremental-compilation neighbor lookups (recordNeighbor);
-     *  persisted in the v3 sidecar, v2/v1 files read as zero. */
+                         ///< read-only cache dir); the hit still serves
+    /** @{ Incremental-compilation neighbor lookups (recordNeighbor). */
     s64 neighborHits = 0;
     s64 neighborPartials = 0;
     s64 neighborMisses = 0;
     /** @} */
 
-    /** Emit {"disk_hits", ...} fields into the currently open object. */
-    void writeJsonFields(JsonWriter &w) const;
+    bool operator==(const DiskPlanCacheStats &) const = default;
+
+    /** Emit one `<prefix><name>` field per kDiskStatFields row into
+     *  the currently open object. */
+    void writeJsonFields(JsonWriter &w, std::string_view prefix) const;
+};
+
+/** One disk-tier counter: its snake_case name (the JSON key stem and
+ *  the sidecar name), its DiskPlanCacheStats field, and the obs
+ *  counter that mirrors it in-process. */
+struct DiskStatField
+{
+    std::string_view name;
+    s64 DiskPlanCacheStats::*member;
+    obs::Met mirror;
+};
+
+/**
+ * Every disk-tier counter, in report order. The legacy positional
+ * sidecars (v1/v2/v3) hold a leading run of these rows, so new rows go
+ * at the end. Adding a counter is one field above, one row here and
+ * one line in docs/schemas.md.
+ */
+inline constexpr DiskStatField kDiskStatFields[] = {
+    {"hits", &DiskPlanCacheStats::hits, obs::Met::kDiskCacheHits},
+    {"misses", &DiskPlanCacheStats::misses, obs::Met::kDiskCacheMisses},
+    {"stores", &DiskPlanCacheStats::stores, obs::Met::kDiskCacheStores},
+    {"rejected", &DiskPlanCacheStats::rejected,
+     obs::Met::kDiskCacheRejected},
+    {"touch_failed", &DiskPlanCacheStats::touchFailed,
+     obs::Met::kDiskCacheTouchFailed},
+    {"neighbor_hits", &DiskPlanCacheStats::neighborHits,
+     obs::Met::kIncrementalNeighborHits},
+    {"neighbor_partials", &DiskPlanCacheStats::neighborPartials,
+     obs::Met::kIncrementalNeighborPartials},
+    {"neighbor_misses", &DiskPlanCacheStats::neighborMisses,
+     obs::Met::kIncrementalNeighborMisses},
 };
 
 class DiskPlanCache
@@ -95,26 +130,15 @@ class DiskPlanCache
     void store(const std::string &key, const ArtifactPtr &artifact);
 
     /**
-     * The disk-layer lookup protocol in one place: serve @p key from
-     * disk if a usable plan file exists, otherwise run @p compute and
-     * publish its artifact. Callers layering this under an in-memory
-     * cache pass their compute path; see CompileService::lookup.
-     */
-    ArtifactPtr loadOrCompute(const std::string &key,
-                              const std::function<ArtifactPtr()> &compute);
-
-    /**
      * Count one incremental-compilation neighbor lookup against this
      * cache directory's stats (and, through the sidecar, its lifetime
-     * totals). Called by the neighbor compile path for requests that
-     * missed both the memory and disk caches.
+     * totals) and its obs mirror. Called by the neighbor compile path
+     * for requests that missed both the memory and disk caches.
      */
     void recordNeighbor(NeighborOutcome outcome);
 
     /** Absolute or user-relative plan file path for @p key. */
     std::string planPath(const std::string &key) const;
-
-    const std::string &directory() const { return directory_; }
 
     DiskPlanCacheStats stats() const;
 
@@ -128,6 +152,10 @@ class DiskPlanCache
     DiskPlanCacheStats flushSidecar();
 
   private:
+    /** Count one event: bump @p field and its kDiskStatFields obs
+     *  mirror together. */
+    void count(s64 DiskPlanCacheStats::*field);
+
     std::string directory_;
 
     mutable std::mutex mutex_; ///< guards stats_/flushed_; I/O unlocked

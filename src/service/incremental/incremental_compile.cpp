@@ -30,17 +30,6 @@ compileArtifactIncremental(const CompileRequest &request, std::string key,
         outcome = NeighborOutcome::kHit;
     else
         outcome = NeighborOutcome::kPartial;
-    switch (outcome) {
-    case NeighborOutcome::kHit:
-        obs::count(obs::Met::kIncrementalNeighborHits);
-        break;
-    case NeighborOutcome::kPartial:
-        obs::count(obs::Met::kIncrementalNeighborPartials);
-        break;
-    case NeighborOutcome::kMiss:
-        obs::count(obs::Met::kIncrementalNeighborMisses);
-        break;
-    }
     if (warm.stats.dpRowsReused > 0)
         obs::count(obs::Met::kIncrementalDpRowsReused,
                    warm.stats.dpRowsReused);

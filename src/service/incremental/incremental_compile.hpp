@@ -22,8 +22,9 @@
  *   partial — a neighbor was found but nothing could be reused
  *             (structures diverged beyond the differ's alignment);
  *   miss    — the family has no retained state.
- * Counters flow to obs:: metrics and, when @p disk is given, into the
- * DiskPlanCache stats (and from there the cross-process sidecar).
+ * When @p disk is given, DiskPlanCache::recordNeighbor counts the
+ * outcome in its stats (and from there the cross-process sidecar) and
+ * in the matching obs:: `incremental.neighbor_*` counter.
  */
 
 #ifndef CMSWITCH_SERVICE_INCREMENTAL_INCREMENTAL_COMPILE_HPP
@@ -33,8 +34,6 @@
 #include "service/incremental/warm_state_store.hpp"
 
 namespace cmswitch {
-
-class DiskPlanCache;
 
 /**
  * Compile @p request warm-started from the best neighbor in @p store,

@@ -87,8 +87,6 @@ class WarmStateStore
      *  memory-only store. */
     std::string warmPath(const StructuralDigest &digest) const;
 
-    const std::string &directory() const { return directory_; }
-
   private:
     struct Entry
     {

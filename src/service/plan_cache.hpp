@@ -67,8 +67,6 @@ class PlanCache
 
     PlanCacheStats stats() const;
 
-    s64 capacity() const { return capacity_; }
-
   private:
     struct Entry
     {

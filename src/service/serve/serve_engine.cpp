@@ -443,21 +443,11 @@ ServeEngine::statusLine(const std::string &id, bool interval)
         .field("max_inflight", options_.maxInflight)
         .field("held", held_)
         .endObject();
-    w.key("cache")
-        .beginObject()
-        .field("memory",
-               cacheOutcomes_[static_cast<std::size_t>(
-                   CacheOutcome::kMemory)])
-        .field("disk",
-               cacheOutcomes_[static_cast<std::size_t>(
-                   CacheOutcome::kDisk)])
-        .field("neighbor",
-               cacheOutcomes_[static_cast<std::size_t>(
-                   CacheOutcome::kNeighbor)])
-        .field("cold",
-               cacheOutcomes_[static_cast<std::size_t>(
-                   CacheOutcome::kCold)])
-        .endObject();
+    w.key("cache").beginObject();
+    for (std::size_t o = 0; o < cacheOutcomes_.size(); ++o)
+        w.field(cacheOutcomeName(static_cast<CacheOutcome>(o)),
+                cacheOutcomes_[o]);
+    w.endObject();
     w.key("plan_cache")
         .beginObject()
         .field("hits", serviceStats.cache.hits)

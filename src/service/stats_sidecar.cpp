@@ -1,6 +1,7 @@
 #include "service/stats_sidecar.hpp"
 
 #include <filesystem>
+#include <utility>
 
 #include "support/atomic_file.hpp"
 #include "support/logging.hpp"
@@ -10,94 +11,135 @@ namespace cmswitch {
 
 namespace fs = std::filesystem;
 
+namespace {
+
+/** Each legacy tag and how many leading kDiskStatFields rows it holds. */
+constexpr std::pair<std::string_view, std::size_t> kLegacyLayouts[] = {
+    {kStatsSidecarTagV3, 8},
+    {kStatsSidecarTagV2, 5},
+    {kStatsSidecarTagV1, 4},
+};
+
+/** Smallest v4 pair: an empty name's u64 length plus the s64 value. */
+constexpr std::size_t kMinPairBytes = 16;
+
+void
+decodeV4(std::string_view payload, SidecarCounters *counters)
+{
+    BinaryReader r(payload);
+    s64 pairs = r.readBounded(static_cast<s64>(r.remaining() / kMinPairBytes),
+                              "sidecar counter count");
+    for (s64 i = 0; i < pairs; ++i) {
+        std::string name = r.readString();
+        s64 value = r.readS64();
+        if (!counters->empty() && name <= counters->rbegin()->first)
+            throw SerializeError("sidecar counter names out of order");
+        counters->emplace_hint(counters->end(), std::move(name), value);
+    }
+    r.expectEnd();
+}
+
+DiskPlanCacheStats
+statsFromCounters(const SidecarCounters &counters)
+{
+    DiskPlanCacheStats stats;
+    for (const DiskStatField &row : kDiskStatFields)
+        if (auto it = counters.find(row.name); it != counters.end())
+            stats.*row.member = it->second;
+    return stats;
+}
+
+/** Read and decode the sidecar; false (and no counters) when it is
+ *  missing or damaged. */
+bool
+readSidecarCounters(const std::string &directory, SidecarCounters *counters)
+{
+    std::string data;
+    if (!readFileBytes(statsSidecarPath(directory), &data))
+        return false;
+    std::string error;
+    if (decodeStatsSidecar(data, counters, &error))
+        return true;
+    informVerbose("ignoring damaged stats sidecar in ", directory, ": ",
+                  error);
+    return false;
+}
+
+} // namespace
+
 std::string
 statsSidecarPath(const std::string &directory)
 {
     return (fs::path(directory) / std::string(kStatsSidecarName)).string();
 }
 
+bool
+decodeStatsSidecar(std::string_view image, SidecarCounters *counters,
+                   std::string *error)
+{
+    counters->clear();
+    std::string_view payload;
+    try {
+        if (unwrapEnvelope(kStatsSidecarTag, image, &payload, error)) {
+            decodeV4(payload, counters);
+            return true;
+        }
+        for (auto [tag, rows] : kLegacyLayouts) {
+            if (!unwrapEnvelope(tag, image, &payload, error))
+                continue;
+            BinaryReader r(payload);
+            for (std::size_t i = 0; i < rows; ++i)
+                (*counters)[std::string(kDiskStatFields[i].name)] =
+                    r.readS64();
+            r.expectEnd();
+            return true;
+        }
+    } catch (const SerializeError &e) {
+        if (error)
+            *error = e.what();
+    }
+    counters->clear();
+    return false;
+}
+
+std::string
+encodeStatsSidecar(const SidecarCounters &counters)
+{
+    BinaryWriter payload;
+    payload.writeS64(static_cast<s64>(counters.size()));
+    for (const auto &[name, value] : counters)
+        payload.writeString(name).writeS64(value);
+    return wrapEnvelope(kStatsSidecarTag, payload.bytes());
+}
+
 DiskPlanCacheStats
 readStatsSidecar(const std::string &directory, bool *present)
 {
+    SidecarCounters counters;
+    bool ok = readSidecarCounters(directory, &counters);
     if (present)
-        *present = false;
-    DiskPlanCacheStats totals;
-
-    std::string data;
-    if (!readFileBytes(statsSidecarPath(directory), &data))
-        return totals;
-
-    // Current (v3) envelope first; fall back to the v2 then v1 layouts
-    // so a sidecar written by an older build keeps its totals (absent
-    // trailing counters start at zero).
-    int version = 3;
-    std::string_view payload;
-    std::string error;
-    if (!unwrapEnvelope(kStatsSidecarTag, data, &payload, &error)) {
-        version = 2;
-        if (!unwrapEnvelope(kStatsSidecarTagV2, data, &payload, &error)) {
-            version = 1;
-            if (!unwrapEnvelope(kStatsSidecarTagV1, data, &payload,
-                                &error)) {
-                informVerbose("ignoring damaged stats sidecar in ",
-                              directory, ": ", error);
-                return totals;
-            }
-        }
-    }
-    try {
-        BinaryReader r(payload);
-        totals.hits = r.readS64();
-        totals.misses = r.readS64();
-        totals.stores = r.readS64();
-        totals.rejected = r.readS64();
-        if (version >= 2)
-            totals.touchFailed = r.readS64();
-        if (version >= 3) {
-            totals.neighborHits = r.readS64();
-            totals.neighborPartials = r.readS64();
-            totals.neighborMisses = r.readS64();
-        }
-        r.expectEnd();
-    } catch (const std::exception &e) {
-        informVerbose("ignoring damaged stats sidecar in ", directory, ": ",
-                      e.what());
-        return DiskPlanCacheStats{};
-    }
-    if (present)
-        *present = true;
-    return totals;
+        *present = ok;
+    return statsFromCounters(counters);
 }
 
 DiskPlanCacheStats
 mergeStatsSidecar(const std::string &directory,
                   const DiskPlanCacheStats &delta)
 {
-    DiskPlanCacheStats totals = readStatsSidecar(directory);
-    totals.hits += delta.hits;
-    totals.misses += delta.misses;
-    totals.stores += delta.stores;
-    totals.rejected += delta.rejected;
-    totals.touchFailed += delta.touchFailed;
-    totals.neighborHits += delta.neighborHits;
-    totals.neighborPartials += delta.neighborPartials;
-    totals.neighborMisses += delta.neighborMisses;
-
-    BinaryWriter payload;
-    payload.writeS64(totals.hits)
-        .writeS64(totals.misses)
-        .writeS64(totals.stores)
-        .writeS64(totals.rejected)
-        .writeS64(totals.touchFailed)
-        .writeS64(totals.neighborHits)
-        .writeS64(totals.neighborPartials)
-        .writeS64(totals.neighborMisses);
-    std::string image = wrapEnvelope(kStatsSidecarTag, payload.bytes());
+    SidecarCounters counters;
+    readSidecarCounters(directory, &counters);
+    for (const DiskStatField &row : kDiskStatFields) {
+        // Unsigned add: a hostile total wraps instead of overflowing.
+        s64 &total = counters[std::string(row.name)];
+        total = static_cast<s64>(static_cast<u64>(total)
+                                 + static_cast<u64>(delta.*row.member));
+    }
 
     // Same temp-file + atomic-rename publication as plan artifacts
     // (support/atomic_file.hpp); a failed flush is dropped, not fatal.
-    publishFileAtomically(statsSidecarPath(directory), image);
-    return totals;
+    publishFileAtomically(statsSidecarPath(directory),
+                          encodeStatsSidecar(counters));
+    return statsFromCounters(counters);
 }
 
 } // namespace cmswitch

@@ -49,8 +49,6 @@
 #include "service/artifact_io.hpp"
 #include "service/cache_maintenance.hpp"
 #include "service/compile_service.hpp"
-#include "service/disk_plan_cache.hpp"
-#include "service/incremental/incremental_compile.hpp"
 #include "service/json_report.hpp"
 #include "service/plan_fingerprint.hpp"
 #include "service/serve/serve_engine.hpp"
@@ -98,10 +96,11 @@ Options:
   --out FILE          write the meta-operator program to FILE
   --emit-json FILE    write the machine-readable compile report to
                       FILE (schema: docs/schemas.md)
-  --cache-dir DIR     persistent plan cache: reuse a previously
-                      compiled plan for this exact request from DIR
-                      (cmswitch-plan-v1 artifact files, shared across
-                      processes) and store fresh compiles back
+  --cache-dir DIR     persistent plan cache shared across processes:
+                      lookups go memory -> disk -> neighbor (warm
+                      start from a similar request's retained search
+                      state) -> cold, fresh compiles are stored back
+                      to DIR, and stderr names the tier that served
   --stats             print the latency/energy breakdown only
   --trace FILE        record the compile pipeline (frontend passes,
                       segmenter DP, allocator probes, solver
@@ -443,18 +442,17 @@ sanitizeToken(const std::string &text)
  * Owns a --trace/--metrics observability session: installs the
  * registry/recorder pair into the process-wide obs hooks for the
  * duration of the compile, then writes the requested files. When
- * neither flag is given nothing is installed and every obs:: call in
- * the pipeline stays a single disabled-branch.
+ * neither tracing nor @p metrics is asked for nothing is installed and
+ * every obs:: call in the pipeline stays a single disabled-branch.
  */
 struct ObsSession
 {
     std::unique_ptr<obs::MetricsRegistry> registry;
     std::unique_ptr<obs::TraceRecorder> recorder;
 
-    void start(const std::string &trace_file,
-               const std::string &metrics_file)
+    void start(const std::string &trace_file, bool metrics)
     {
-        if (trace_file.empty() && metrics_file.empty())
+        if (trace_file.empty() && !metrics)
             return;
         registry = std::make_unique<obs::MetricsRegistry>();
         if (!trace_file.empty()) {
@@ -494,7 +492,7 @@ singleMain(int argc, char **argv)
 {
     CliArgs args = parseCli(argc, argv);
     ObsSession session;
-    session.start(args.traceFile, args.metricsFile);
+    session.start(args.traceFile, !args.metricsFile.empty());
 
     // The passes run inside compileArtifact (driven by request.optimize)
     // so a single-mode compile and the identical batch job line hash to
@@ -505,29 +503,28 @@ singleMain(int argc, char **argv)
     request.compilerId = args.compiler;
     request.optimize = args.optimize;
 
+    // A one-request compile service: the memory -> disk -> neighbor ->
+    // cold lookup chain batch, serve and sim use. Its scope ends before
+    // the reports are written, flushing the --cache-dir stats sidecar.
     ArtifactPtr artifact;
     auto executeStart = std::chrono::steady_clock::now();
-    if (args.cacheDir.empty()) {
-        artifact = compileArtifact(request);
-    } else {
-        // Persistent plan cache: a prior run of any process with this
-        // --cache-dir and the same request key supplies the plan.
-        DiskPlanCache disk(args.cacheDir);
-        std::string key = requestKey(request);
-        artifact = disk.load(key);
-        if (artifact) {
-            std::cerr << "cmswitchc: plan cache disk hit (" << key
-                      << ") in " << disk.directory() << "\n";
-        } else {
-            // Miss: compile warm-started from the structurally closest
-            // retained search state in this cache dir (byte-identical
-            // to a cold compile; only faster when a neighbor exists).
-            WarmStateStore warm_store(args.cacheDir);
-            artifact = compileArtifactIncremental(request, key, warm_store,
-                                                  &disk);
-            disk.store(key, artifact);
-            std::cerr << "cmswitchc: plan cache miss; stored " << key
-                      << " in " << disk.directory() << "\n";
+    {
+        CompileService service({.cacheDir = args.cacheDir});
+        CacheOutcome outcome = CacheOutcome::kCold;
+        artifact = service.compileNow(request, &outcome);
+        if (!args.cacheDir.empty()) {
+            std::cerr << "cmswitchc: ";
+            if (outcome == CacheOutcome::kDisk)
+                std::cerr << "plan cache disk hit (" << artifact->key
+                          << ") in " << args.cacheDir;
+            else if (service.stats().disk.stores > 0)
+                std::cerr << "plan cache miss; stored " << artifact->key
+                          << " in " << args.cacheDir << " ("
+                          << cacheOutcomeName(outcome) << ")";
+            else // the publication failed and has already warned
+                std::cerr << "plan cache miss; not stored ("
+                          << cacheOutcomeName(outcome) << ")";
+            std::cerr << "\n";
         }
     }
     // Same queue-wait/execute split the serve daemon and batch jobs
@@ -800,13 +797,9 @@ batchMain(int argc, char **argv)
     // Metrics are always on in batch mode — the summary's latency
     // quantiles come from them. Declared before the service so workers
     // never outlive the registry; tracing stays opt-in (--trace).
-    obs::MetricsRegistry registry;
-    std::unique_ptr<obs::TraceRecorder> recorder;
-    if (!batch.traceFile.empty()) {
-        recorder = std::make_unique<obs::TraceRecorder>();
-        recorder->setThreadName("main");
-    }
-    obs::install(&registry, recorder.get());
+    ObsSession session;
+    session.start(batch.traceFile, /*metrics=*/true);
+    obs::MetricsRegistry &registry = *session.registry;
     obs::setGauge(obs::Gau::kServiceThreads, batch.threads);
 
     auto t0 = std::chrono::steady_clock::now();
@@ -850,15 +843,7 @@ batchMain(int argc, char **argv)
     // Every future is drained, so the workers are idle: stop observing
     // before reading the registry for the summary. Late stragglers
     // (none expected) would see the disabled branch, not a torn write.
-    obs::uninstall();
-    if (recorder) {
-        writeTextFile(batch.traceFile, recorder->exportJson());
-        std::cerr << "cmswitchc: trace written to " << batch.traceFile
-                  << " (" << recorder->eventCount() << " event(s)";
-        if (recorder->droppedEvents() > 0)
-            std::cerr << ", " << recorder->droppedEvents() << " dropped";
-        std::cerr << ")\n";
-    }
+    session.finish(batch.traceFile, "");
 
     CompileServiceStats stats = service.stats();
     // Lifetime totals across every process that ever used this
@@ -884,19 +869,10 @@ batchMain(int argc, char **argv)
         .field("fingerprint", buildFingerprintHex());
     // In-memory misses that a --cache-dir plan file satisfied show up
     // as disk_hits; only (misses - disk_hits) actually compiled.
-    stats.disk.writeJsonFields(w);
+    stats.disk.writeJsonFields(w, "disk_");
     // Cross-process lifetime totals from the stats sidecar (all zero
     // when --cache-dir is off).
-    w.field("sidecar_hits", sidecar.hits)
-        .field("sidecar_misses", sidecar.misses)
-        .field("sidecar_stores", sidecar.stores)
-        .field("sidecar_rejected", sidecar.rejected)
-        .field("sidecar_touch_failed", sidecar.touchFailed)
-        // v5: incremental-compilation neighbor totals (see
-        // service/incremental/incremental_compile.hpp).
-        .field("sidecar_neighbor_hits", sidecar.neighborHits)
-        .field("sidecar_neighbor_partials", sidecar.neighborPartials)
-        .field("sidecar_neighbor_misses", sidecar.neighborMisses);
+    sidecar.writeJsonFields(w, "sidecar_");
     w.endObject();
     // v4: compile-latency quantiles (p50/p90/p95/p99 from the log
     // histograms) plus the full metrics snapshot — the timing half of
@@ -1027,7 +1003,7 @@ serveMain(int argc, char **argv)
 
     installServeSignalHandlers();
     ObsSession session;
-    session.start(args.traceFile, args.metricsFile);
+    session.start(args.traceFile, !args.metricsFile.empty());
 
     int exitCode = 0;
     {

@@ -14,12 +14,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <new>
+#include <random>
 #include <string>
 #include <system_error>
+#include <vector>
 
 #ifdef __unix__
 #include <unistd.h>
@@ -32,7 +38,43 @@
 #include "service/stats_sidecar.hpp"
 #include "support/atomic_file.hpp"
 #include "support/json.hpp"
+#include "support/json_parse.hpp"
 #include "support/serialize.hpp"
+
+namespace {
+
+/** @{ Largest single operator-new request while gAllocWatch is set: the
+ *  sidecar mutation loop checks that no decode allocates beyond the
+ *  bytes it was handed. The replacements stay out of line so GCC does
+ *  not pair an inlined free() with the caller's new expression. */
+std::atomic<bool> gAllocWatch{false};
+std::atomic<std::size_t> gLargestAlloc{0};
+/** @} */
+
+} // namespace
+
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    if (gAllocWatch.load(std::memory_order_relaxed)
+        && size > gLargestAlloc.load(std::memory_order_relaxed))
+        gLargestAlloc.store(size, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace cmswitch {
 namespace {
@@ -394,7 +436,7 @@ TEST(StatsSidecar, ReadsV1FormatAndUpgradesOnMerge)
     EXPECT_EQ(totals.touchFailed, 0); // v1 has no fifth counter
 
     // The first merge preserves the v1 totals and rewrites the file in
-    // the v2 envelope.
+    // the current envelope.
     DiskPlanCacheStats delta;
     delta.hits = 1;
     delta.touchFailed = 2;
@@ -472,7 +514,7 @@ TEST(StatsSidecar, ReadsV2FormatWithZeroNeighborCounters)
     EXPECT_EQ(totals.neighborPartials, 0);
     EXPECT_EQ(totals.neighborMisses, 0);
 
-    // The first merge upgrades the file to the v3 envelope in place.
+    // The first merge upgrades the file to the current envelope in place.
     DiskPlanCacheStats delta;
     delta.neighborHits = 7;
     totals = mergeStatsSidecar(dir.str(), delta);
@@ -484,6 +526,250 @@ TEST(StatsSidecar, ReadsV2FormatWithZeroNeighborCounters)
     std::string error;
     EXPECT_TRUE(unwrapEnvelope(kStatsSidecarTag, data, &upgraded, &error))
         << error;
+}
+
+TEST(StatsSidecar, ReadsV3FormatAndUpgradesOnMerge)
+{
+    ScratchDir dir("sidecar_v3_legacy");
+    // A sidecar as the previous build wrote it: v3 tag, eight counters
+    // in kDiskStatFields order.
+    BinaryWriter payload;
+    for (s64 value = 1; value <= 8; ++value)
+        payload.writeS64(value);
+    std::ofstream(statsSidecarPath(dir.str()), std::ios::binary)
+        << wrapEnvelope(kStatsSidecarTagV3, payload.bytes());
+
+    bool present = false;
+    DiskPlanCacheStats totals = readStatsSidecar(dir.str(), &present);
+    EXPECT_TRUE(present);
+    EXPECT_EQ(totals.hits, 1);
+    EXPECT_EQ(totals.misses, 2);
+    EXPECT_EQ(totals.stores, 3);
+    EXPECT_EQ(totals.rejected, 4);
+    EXPECT_EQ(totals.touchFailed, 5);
+    EXPECT_EQ(totals.neighborHits, 6);
+    EXPECT_EQ(totals.neighborPartials, 7);
+    EXPECT_EQ(totals.neighborMisses, 8);
+
+    // The first merge keeps every v3 total and rewrites the file as v4.
+    DiskPlanCacheStats delta;
+    delta.stores = 10;
+    delta.neighborMisses = 10;
+    totals = mergeStatsSidecar(dir.str(), delta);
+    EXPECT_EQ(totals.stores, 13);
+    EXPECT_EQ(totals.neighborMisses, 18);
+    std::string data;
+    ASSERT_TRUE(readFileBytes(statsSidecarPath(dir.str()), &data));
+    std::string_view upgraded;
+    std::string error;
+    EXPECT_TRUE(unwrapEnvelope(kStatsSidecarTag, data, &upgraded, &error))
+        << error;
+    DiskPlanCacheStats reread = readStatsSidecar(dir.str(), &present);
+    EXPECT_TRUE(present);
+    EXPECT_EQ(reread, totals);
+    EXPECT_EQ(reread.neighborPartials, 7);
+}
+
+TEST(StatsSidecar, MergeKeepsCountersThisBuildDoesNotKnow)
+{
+    ScratchDir dir("sidecar_future");
+    // A newer build added a counter; this build must carry it along.
+    std::ofstream(statsSidecarPath(dir.str()), std::ios::binary)
+        << encodeStatsSidecar({{"future_counter", 41}, {"hits", 2}});
+
+    DiskPlanCacheStats delta;
+    delta.hits = 1;
+    delta.neighborHits = 4;
+    DiskPlanCacheStats totals = mergeStatsSidecar(dir.str(), delta);
+    EXPECT_EQ(totals.hits, 3);
+    EXPECT_EQ(totals.neighborHits, 4);
+
+    std::string data;
+    ASSERT_TRUE(readFileBytes(statsSidecarPath(dir.str()), &data));
+    SidecarCounters counters;
+    std::string error;
+    ASSERT_TRUE(decodeStatsSidecar(data, &counters, &error)) << error;
+    EXPECT_EQ(counters.at("future_counter"), 41);
+    EXPECT_EQ(counters.at("hits"), 3);
+    EXPECT_EQ(counters.at("neighbor_hits"), 4);
+    // Every row of this build's table is written, known or not before.
+    EXPECT_EQ(counters.size(), std::size(kDiskStatFields) + 1);
+}
+
+/** Byte offsets of every name-length field in a v4 payload written by
+ *  encodeStatsSidecar (after the s64 pair count). */
+std::vector<std::size_t>
+nameLengthOffsets(const SidecarCounters &counters)
+{
+    std::vector<std::size_t> offsets;
+    std::size_t at = 8;
+    for (const auto &[name, value] : counters) {
+        offsets.push_back(at);
+        at += 8 + name.size() + 8;
+    }
+    return offsets;
+}
+
+/** Overwrite the 8 bytes at @p at with @p value, little-endian. */
+void
+pokeU64(std::string *bytes, std::size_t at, u64 value)
+{
+    for (int i = 0; i < 8; ++i)
+        (*bytes)[at + static_cast<std::size_t>(i)] =
+            static_cast<char>((value >> (8 * i)) & 0xff);
+}
+
+/**
+ * Seeded mutation fuzz of the v4 decoder (ROADMAP item 4's property):
+ * every mutated image either decodes and re-encodes to the same bytes,
+ * or is rejected and reads as all-zero, not present. It never crashes
+ * and never allocates more than the image it was handed, however the
+ * pair count and name lengths are inflated. Payload mutations are
+ * rewrapped in a valid envelope so they reach the decoder past the
+ * digest check; a share of raw-image mutations covers the envelope.
+ */
+TEST(StatsSidecar, MutatedV4ImagesDecodeCanonicallyOrReadAsZero)
+{
+    ScratchDir dir("sidecar_fuzz");
+    SidecarCounters seed;
+    s64 value = -3;
+    for (const DiskStatField &row : kDiskStatFields)
+        seed[std::string(row.name)] = value += 1000003;
+    seed["future_counter"] = -1;
+    const std::string image = encodeStatsSidecar(seed);
+    std::string_view seedPayload;
+    ASSERT_TRUE(unwrapEnvelope(kStatsSidecarTag, image, &seedPayload));
+    const std::string payload(seedPayload);
+    const std::vector<std::size_t> lengthFields = nameLengthOffsets(seed);
+
+    std::mt19937_64 rng(0x5eed5eedULL);
+    // A length just past the payload, or any 64-bit value.
+    auto inflated = [&]() -> u64 {
+        return rng() % 2 ? rng() : payload.size() + rng() % 64;
+    };
+    int decoded = 0;
+    for (int iter = 0; iter < 3000; ++iter) {
+        std::string mutated = payload;
+        bool rewrap = true;
+        switch (rng() % 5) {
+        case 0: { // bit flip
+            std::size_t at = rng() % mutated.size();
+            mutated[at] ^= static_cast<char>(1u << (rng() % 8));
+            break;
+        }
+        case 1: // truncation
+            mutated.resize(rng() % mutated.size());
+            break;
+        case 2: // inflated pair count
+            pokeU64(&mutated, 0, inflated());
+            break;
+        case 3: { // inflated name length
+            std::size_t at = lengthFields[rng() % lengthFields.size()];
+            pokeU64(&mutated, at, inflated());
+            break;
+        }
+        default: // raw image: flip or cut past the envelope's digest
+            mutated = image;
+            if (rng() % 2)
+                mutated[rng() % image.size()] ^= 0x10;
+            else
+                mutated.resize(rng() % mutated.size());
+            rewrap = false;
+            break;
+        }
+        if (rewrap)
+            mutated = wrapEnvelope(kStatsSidecarTag, mutated);
+        SCOPED_TRACE("iteration " + std::to_string(iter));
+
+        SidecarCounters counters;
+        gLargestAlloc.store(0);
+        gAllocWatch.store(true);
+        bool ok = decodeStatsSidecar(mutated, &counters);
+        gAllocWatch.store(false);
+        // Error text is the one allocation not sized by the input.
+        EXPECT_LE(gLargestAlloc.load(),
+                  std::max<std::size_t>(mutated.size(), 64));
+        if (ok) {
+            ++decoded;
+            EXPECT_EQ(encodeStatsSidecar(counters), mutated);
+        } else {
+            EXPECT_TRUE(counters.empty());
+        }
+
+        // The file path agrees: a rejected image reads as all-zero.
+        if (iter % 50 == 0) {
+            std::ofstream(statsSidecarPath(dir.str()),
+                          std::ios::binary | std::ios::trunc)
+                << mutated;
+            bool present = true;
+            DiskPlanCacheStats totals =
+                readStatsSidecar(dir.str(), &present);
+            EXPECT_EQ(present, ok);
+            if (!ok) {
+                EXPECT_EQ(totals, DiskPlanCacheStats{});
+            }
+        }
+    }
+    // Bit flips inside values (and order-keeping flips inside names)
+    // decode: the loop exercised the accepting path, not only rejects.
+    EXPECT_GT(decoded, 0);
+}
+
+/** Member names of the JSON object @p text, in document order. */
+std::vector<std::string>
+objectKeys(const std::string &text)
+{
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(parseJson(text, &doc, &error)) << error;
+    std::vector<std::string> keys;
+    for (const auto &member : doc.members)
+        keys.push_back(member.first);
+    return keys;
+}
+
+TEST(StatsSidecar, CacheStatsReportKeysArePinned)
+{
+    ScratchDir dir("stats_keys");
+    JsonWriter w;
+    statsPlanCache(dir.str()).writeJson(w);
+    EXPECT_EQ(objectKeys(w.str()),
+              (std::vector<std::string>{
+                  "schema", "dir", "sidecar_present", "hits", "misses",
+                  "stores", "rejected", "touch_failed", "neighbor_hits",
+                  "neighbor_partials", "neighbor_misses", "plan_files",
+                  "plan_bytes", "walk_error", "fingerprint"}));
+}
+
+/** The batch summary's `cache` object renders its disk_* and sidecar_*
+ *  keys through writeJsonFields with these two prefixes. */
+TEST(StatsSidecar, BatchSummaryDiskAndSidecarKeysArePinned)
+{
+    DiskPlanCacheStats stats;
+    JsonWriter w;
+    w.beginObject();
+    stats.writeJsonFields(w, "disk_");
+    stats.writeJsonFields(w, "sidecar_");
+    w.endObject();
+    EXPECT_EQ(objectKeys(w.str()),
+              (std::vector<std::string>{
+                  "disk_hits",
+                  "disk_misses",
+                  "disk_stores",
+                  "disk_rejected",
+                  "disk_touch_failed",
+                  "disk_neighbor_hits",
+                  "disk_neighbor_partials",
+                  "disk_neighbor_misses",
+                  "sidecar_hits",
+                  "sidecar_misses",
+                  "sidecar_stores",
+                  "sidecar_rejected",
+                  "sidecar_touch_failed",
+                  "sidecar_neighbor_hits",
+                  "sidecar_neighbor_partials",
+                  "sidecar_neighbor_misses",
+              }));
 }
 
 TEST(PlanFingerprint, RevisionBumpChangesAndRevertRestoresTheDigest)

@@ -22,6 +22,13 @@
 #      over it and must warm-start from A's .warm sidecar (a neighbor
 #      hit found by the directory scan) with a report byte-identical to
 #      a cold KV-160 compile.
+#   7. single mode reports a dropped store: with the plan's path taken
+#      by a directory the publishing rename fails (even as root), so
+#      the run must say "not stored", never "stored", and still write
+#      the identical report;
+#   8. single mode names its lookup tier: KV 128 then KV 160 over one
+#      --cache-dir, the second a "(neighbor)" compile byte-identical to
+#      a cold KV-160 compile, and `cache stats` counts the neighbor hit.
 # Run as `cmake -DCMSWITCHC=<exe> -DWORK_DIR=<dir> -P cache_smoke.cmake`.
 
 if(NOT CMSWITCHC)
@@ -41,9 +48,12 @@ set(cache_dir ${WORK_DIR}/plan-cache)
 
 # --- 1. single mode: second process must warm-start from disk ---------
 
-function(run_single report expect_pattern)
-    execute_process(COMMAND ${CMSWITCHC} --model resnet18 --stats
-                            --emit-json ${report} --cache-dir ${cache_dir}
+# run_model(<report> <cache_dir> <expect_pattern> <model flags...>): one
+# single-mode compile whose stderr must match <expect_pattern>; its
+# stderr comes back in `single_err`.
+function(run_model report cache expect_pattern)
+    execute_process(COMMAND ${CMSWITCHC} ${ARGN} --stats
+                            --emit-json ${report} --cache-dir ${cache}
                     RESULT_VARIABLE result
                     ERROR_VARIABLE err)
     if(NOT result EQUAL 0)
@@ -53,17 +63,27 @@ function(run_single report expect_pattern)
         message(FATAL_ERROR "expected stderr to match '${expect_pattern}', "
                             "got:\n${err}")
     endif()
+    set(single_err "${err}" PARENT_SCOPE)
+endfunction()
+
+function(run_single report expect_pattern)
+    run_model(${report} ${cache_dir} "${expect_pattern}" --model resnet18)
+endfunction()
+
+# expect_same(<a> <b> <what>): the two files must be byte-identical.
+function(expect_same a b what)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b}
+                    RESULT_VARIABLE same)
+    if(NOT same EQUAL 0)
+        message(FATAL_ERROR "${what}")
+    endif()
 endfunction()
 
 run_single(${WORK_DIR}/cold.json "plan cache miss; stored")
 run_single(${WORK_DIR}/warm.json "plan cache disk hit")
 
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${WORK_DIR}/cold.json ${WORK_DIR}/warm.json
-                RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-    message(FATAL_ERROR "cold and warm single-mode reports differ")
-endif()
+expect_same(${WORK_DIR}/cold.json ${WORK_DIR}/warm.json
+            "cold and warm single-mode reports differ")
 
 # --- 2. damaged artifacts must silently recompile ---------------------
 
@@ -74,38 +94,27 @@ if(NOT plan_count EQUAL 1)
                         "got ${plan_count}")
 endif()
 list(GET plans 0 plan_file)
+get_filename_component(plan_key ${plan_file} NAME_WE)
 
 # Bit corruption (same size, different content).
 file(WRITE ${plan_file} "cmswitch-plan-v1\nthis is not a real artifact")
 run_single(${WORK_DIR}/recompiled.json "plan cache miss; stored")
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${WORK_DIR}/cold.json ${WORK_DIR}/recompiled.json
-                RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-    message(FATAL_ERROR "report after corrupt-artifact recompile differs")
-endif()
+expect_same(${WORK_DIR}/cold.json ${WORK_DIR}/recompiled.json
+            "report after corrupt-artifact recompile differs")
 
 # Version mismatch: a v2 tag from the future must be ignored by the v1
 # reader (new tag == new format; old readers reject, recompile, and
 # overwrite).
 file(WRITE ${plan_file} "cmswitch-plan-v2\npayload from the future")
 run_single(${WORK_DIR}/devolved.json "plan cache miss; stored")
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${WORK_DIR}/cold.json ${WORK_DIR}/devolved.json
-                RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-    message(FATAL_ERROR "report after version-mismatch recompile differs")
-endif()
+expect_same(${WORK_DIR}/cold.json ${WORK_DIR}/devolved.json
+            "report after version-mismatch recompile differs")
 
 # Truncation: an empty (or cut-short) plan file recompiles too.
 file(WRITE ${plan_file} "")
 run_single(${WORK_DIR}/retruncated.json "plan cache miss; stored")
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${WORK_DIR}/cold.json ${WORK_DIR}/retruncated.json
-                RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-    message(FATAL_ERROR "report after truncated-artifact recompile differs")
-endif()
+expect_same(${WORK_DIR}/cold.json ${WORK_DIR}/retruncated.json
+            "report after truncated-artifact recompile differs")
 
 # --- 3. cache stats: lifetime totals survive across processes ---------
 
@@ -274,14 +283,8 @@ if(NOT report_count EQUAL ${job_count})
                         "got ${report_count}")
 endif()
 foreach(report IN LISTS reports)
-    execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                            ${WORK_DIR}/cold-serial/${report}
-                            ${WORK_DIR}/warm-mt/${report}
-                    RESULT_VARIABLE same)
-    if(NOT same EQUAL 0)
-        message(FATAL_ERROR "${report} differs between the cold serial "
-                            "and warm 4-thread runs")
-    endif()
+    expect_same(${WORK_DIR}/cold-serial/${report} ${WORK_DIR}/warm-mt/${report}
+                "${report} differs between cold serial and warm 4-thread")
 endforeach()
 
 # --- 5. lifecycle: verify passes, gc reaps plans but not the sidecar --
@@ -337,18 +340,44 @@ if(neighbor_hits LESS 1)
                         "(disk_neighbor_hits = ${neighbor_hits})")
 endif()
 set(report job000_llama2-7b_dynaplasia_cmswitch.json)
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-                        ${WORK_DIR}/kv160/${report}
-                        ${WORK_DIR}/kv160-cold/${report}
-                RESULT_VARIABLE same)
-if(NOT same EQUAL 0)
-    message(FATAL_ERROR "KV 160 neighbor recompile differs from cold")
+expect_same(${WORK_DIR}/kv160/${report} ${WORK_DIR}/kv160-cold/${report}
+            "KV 160 neighbor recompile differs from cold")
+
+# --- 7. single mode: a dropped store is not claimed as stored ---------
+
+set(blocked_cache ${WORK_DIR}/blocked-cache)
+file(MAKE_DIRECTORY ${blocked_cache}/${plan_key}.plan)
+run_model(${WORK_DIR}/blocked.json ${blocked_cache}
+          "plan cache miss; not stored \\(cold\\)" --model resnet18)
+if(single_err MATCHES "; stored")
+    message(FATAL_ERROR "dropped store reported as stored:\n${single_err}")
 endif()
+expect_same(${WORK_DIR}/cold.json ${WORK_DIR}/blocked.json
+            "report after a dropped store differs")
+
+# --- 8. single mode names its lookup tier -----------------------------
+
+set(single_neighbor ${WORK_DIR}/single-neighbor-cache)
+set(decode --model llama2-7b --layers 2 --decode)
+run_model(${WORK_DIR}/single-kv128.json ${single_neighbor}
+          "plan cache miss; stored [0-9a-f]+ in .* \\(cold\\)" ${decode} 128)
+run_model(${WORK_DIR}/single-kv160.json ${single_neighbor}
+          "plan cache miss; stored [0-9a-f]+ in .* \\(neighbor\\)"
+          ${decode} 160)
+run_model(${WORK_DIR}/single-kv160-cold.json ${WORK_DIR}/single-cold-cache
+          "plan cache miss; stored [0-9a-f]+ in .* \\(cold\\)" ${decode} 160)
+expect_same(${WORK_DIR}/single-kv160.json ${WORK_DIR}/single-kv160-cold.json
+            "single-mode KV 160 neighbor compile differs from cold")
+run_cache(single_stats stats --cache-dir ${single_neighbor})
+expect_json("${single_stats}" 1 neighbor_hits)
+expect_json("${single_stats}" 1 neighbor_misses)
+expect_json("${single_stats}" 2 stores)
 
 message(STATUS "cache_smoke: single-mode warm start, damaged-artifact "
                "recompile, sidecar stats, ${job_count}-job warm batch, "
-               "gc/verify lifecycle and cross-process neighbor warm "
-               "start all check out")
+               "gc/verify lifecycle, cross-process neighbor warm start, "
+               "dropped-store reporting and single-mode lookup tiers all "
+               "check out")
 
 # Success: leave nothing behind (the guard at the top handles the
 # leftovers of *failed* runs).

@@ -22,6 +22,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/json.hpp"
+#include "support/json_parse.hpp"
 
 namespace cmswitch {
 namespace obs {
@@ -362,22 +363,17 @@ TEST(MetricsRegistry, SnapshotIsDeterministicForEqualWorkloads)
         registry.gauge(Gau::kServiceThreads).set(4);
         registry.histogram(Hist::kPhaseSegment).record(0.125);
         registry.histogram(Hist::kPhaseSegment).record(0.25);
-        registry.counter("custom.alpha").add(1);
-        registry.counter("custom.zeta").add(2);
-        registry.histogram("custom.latency").record(1.0);
     };
     MetricsRegistry a, b;
     populate(a);
     populate(b);
     // Identical workloads (same recorded values, not just counts) ->
-    // byte-identical snapshots, dynamic instruments in sorted order.
+    // byte-identical snapshots.
     std::string ja = a.snapshotJson();
     EXPECT_EQ(ja, b.snapshotJson());
     EXPECT_NE(ja.find("\"counters\""), std::string::npos);
     EXPECT_NE(ja.find("\"gauges\""), std::string::npos);
     EXPECT_NE(ja.find("\"quantiles\""), std::string::npos);
-    EXPECT_NE(ja.find("custom.alpha"), std::string::npos);
-    EXPECT_LT(ja.find("custom.alpha"), ja.find("custom.zeta"));
     for (const char *field : {"\"p50\"", "\"p90\"", "\"p95\"", "\"p99\""})
         EXPECT_NE(ja.find(field), std::string::npos) << field;
 }
@@ -386,23 +382,112 @@ TEST(MetricsRegistry, ResetZeroesBuiltinsAndDynamics)
 {
     MetricsRegistry registry;
     registry.counter(Met::kCompiles).add(3);
-    registry.counter("custom.x").add(9);
     registry.histogram(Hist::kPhaseCompile).record(1.0);
     registry.reset();
     EXPECT_EQ(registry.counter(Met::kCompiles).get(), 0);
-    EXPECT_EQ(registry.counter("custom.x").get(), 0);
     EXPECT_EQ(registry.histogram(Hist::kPhaseCompile).count(), 0);
 }
 
-TEST(MetricsRegistry, DynamicInstrumentReferencesAreStable)
+/** Member names of the snapshot's @p section object, in order. */
+std::vector<std::string>
+snapshotKeys(const MetricsRegistry &registry, std::string_view section)
+{
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(parseJson(registry.snapshotJson(), &doc, &error)) << error;
+    std::vector<std::string> keys;
+    if (const JsonValue *object = doc.find(section))
+        for (const auto &member : object->members)
+            keys.push_back(member.first);
+    return keys;
+}
+
+/**
+ * Snapshots walk the enums instead of sorting through a map, so each
+ * enum must be declared in strictly ascending name order.
+ */
+TEST(MetricsRegistry, EnumsAreDeclaredInNameOrder)
+{
+    for (u32 i = 1; i < static_cast<u32>(Met::kCount); ++i)
+        EXPECT_LT(std::string_view(metName(static_cast<Met>(i - 1))),
+                  std::string_view(metName(static_cast<Met>(i))));
+    for (u32 i = 1; i < static_cast<u32>(Gau::kCount); ++i)
+        EXPECT_LT(std::string_view(gauName(static_cast<Gau>(i - 1))),
+                  std::string_view(gauName(static_cast<Gau>(i))));
+    for (u32 i = 1; i < static_cast<u32>(Hist::kCount); ++i)
+        EXPECT_LT(std::string_view(histName(static_cast<Hist>(i - 1))),
+                  std::string_view(histName(static_cast<Hist>(i))));
+}
+
+/** The snapshot's key set and order, pinned against literal lists. */
+TEST(MetricsRegistry, SnapshotKeysArePinnedAndSorted)
 {
     MetricsRegistry registry;
-    Counter &c = registry.counter("stable.counter");
-    c.add(1);
-    for (int i = 0; i < 100; ++i)
-        registry.counter("churn." + std::to_string(i)).add(1);
-    EXPECT_EQ(&c, &registry.counter("stable.counter"));
-    EXPECT_EQ(c.get(), 1);
+    const std::vector<std::string> counters = {
+        "alloc.bisection_iters",
+        "alloc.probe_shortcuts",
+        "alloc.probes",
+        "alloc.runs",
+        "compile.compiles",
+        "disk_cache.hits",
+        "disk_cache.misses",
+        "disk_cache.rejected",
+        "disk_cache.stores",
+        "disk_cache.touch_failed",
+        "dp.boundaries",
+        "dp.sig_cache_hits",
+        "dp.sig_cache_misses",
+        "incremental.dp_rows_reused",
+        "incremental.neighbor_hits",
+        "incremental.neighbor_misses",
+        "incremental.neighbor_partials",
+        "incremental.sig_imports",
+        "incremental.warm_files_read",
+        "lp.solves",
+        "lp.warm_hits",
+        "lp.warm_misses",
+        "mip.nodes",
+        "mip.solves",
+        "plan_cache.evictions",
+        "plan_cache.hits",
+        "plan_cache.misses",
+        "serve.admitted",
+        "serve.cache_cold",
+        "serve.cache_disk",
+        "serve.cache_memory",
+        "serve.cache_neighbor",
+        "serve.coalesced",
+        "serve.errors",
+        "serve.received",
+        "serve.shed_admission",
+        "serve.shed_deadline",
+    };
+    const std::vector<std::string> gauges = {
+        "serve.inflight",
+        "serve.queue_depth",
+        "service.threads",
+    };
+    const std::vector<std::string> quantiles = {
+        "phase.allocate_seconds",
+        "phase.backend_seconds",
+        "phase.codegen_seconds",
+        "phase.compile_seconds",
+        "phase.energy_seconds",
+        "phase.frontend_passes_seconds",
+        "phase.partition_seconds",
+        "phase.segment_seconds",
+        "phase.validate_seconds",
+        "serve.execute_seconds",
+        "serve.queue_wait_seconds",
+        "serve.total_seconds",
+        "service.execute_seconds",
+        "service.queue_wait_seconds",
+    };
+    for (const auto *list : {&counters, &gauges, &quantiles})
+        EXPECT_TRUE(std::is_sorted(list->begin(), list->end()));
+    EXPECT_EQ(snapshotKeys(registry, "counters"), counters);
+    EXPECT_EQ(snapshotKeys(registry, "gauges"), gauges);
+    EXPECT_EQ(snapshotKeys(registry, "quantiles"), quantiles);
 }
 
 TEST(ObsControlPlane, DisabledByDefaultAndHelpersAreNoOps)

@@ -130,10 +130,13 @@ scenarioCompile(const std::string &chip_name,
     request.compilerId = compiler_name;
     std::string key = requestKey(request);
     return cache.getOrCompute(key, [&request, &key] {
-        auto compile = [&request, &key] {
-            return compileArtifact(request, key);
-        };
-        return disk ? disk->loadOrCompute(key, compile) : compile();
+        ArtifactPtr artifact = disk ? disk->load(key) : nullptr;
+        if (!artifact) {
+            artifact = compileArtifact(request, key);
+            if (disk)
+                disk->store(key, artifact);
+        }
+        return artifact;
     });
 }
 

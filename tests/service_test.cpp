@@ -199,7 +199,6 @@ TEST(CompileService, SubmitDeduplicatesIdenticalRequests)
         EXPECT_EQ(a.get(), artifacts[0].get()) << "plans must be shared";
 
     CompileServiceStats stats = service.stats();
-    EXPECT_EQ(stats.requests, 8);
     EXPECT_EQ(stats.cache.misses, 1);
     EXPECT_EQ(stats.cache.hits, 7);
 }
