@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -54,6 +53,47 @@ opSignature(const OpWorkload &w)
     return out;
 }
 
+/**
+ * Whether imported DP rows 1..@p prefix could have come from runDp on
+ * this op list: each row's starts ascend strictly inside
+ * [min_start[b], b) (transition pricing reads a window at
+ * start - min_start[b]; backtracking binary-searches by start), memory
+ * arrays fit the chip, and every backlink names a state of the row it
+ * points into (-1 only from start 0). A warm state whose digest
+ * verifies can still carry any values; rows like that are refused
+ * before anything indexes by them.
+ */
+bool
+importableDpRows(const std::vector<std::vector<WarmDpState>> &rows,
+                 const std::vector<s64> &min_start, s64 prefix, s64 n_cim)
+{
+    for (s64 b = 1; b <= prefix; ++b) {
+        s64 prev_start = -1;
+        for (const WarmDpState &st : rows[static_cast<std::size_t>(b)]) {
+            if (st.start <= prev_start
+                || st.start < min_start[static_cast<std::size_t>(b)]
+                || st.start >= b || st.memArrays < 0
+                || st.memArrays > n_cim)
+                return false;
+            prev_start = st.start;
+            if (st.start == 0) {
+                if (st.prevStart != -1)
+                    return false;
+                continue;
+            }
+            const auto &from = rows[static_cast<std::size_t>(st.start)];
+            auto it = std::lower_bound(
+                from.begin(), from.end(), st.prevStart,
+                [](const WarmDpState &s, s64 start) {
+                    return s.start < start;
+                });
+            if (it == from.end() || it->start != st.prevStart)
+                return false;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 namespace {
@@ -98,9 +138,11 @@ Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
         return *warm;
     }
 
-    std::string key = rangeSignature(ops, lo, hi);
+    // The signature is built in a reused buffer; only a miss copies it
+    // into the cache, at its exact size.
+    rangeSignature(ops, lo, hi, &sigScratch_);
 
-    auto it = cache_.find(key);
+    auto it = cache_.find(sigScratch_);
     if (it != cache_.end()) {
         ++cacheHits_;
         if (!importedPtrs_.empty() && importedPtrs_.count(&it->second) > 0)
@@ -115,7 +157,7 @@ Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
         }
         LpWarmStart basis;
         it = cache_
-                 .emplace(std::move(key),
+                 .emplace(sigScratch_,
                           allocator_.allocate(makeSegmentView(ops, lo, hi),
                                               hints_ptr,
                                               retain_ ? &basis : nullptr))
@@ -127,14 +169,14 @@ Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
     return it->second;
 }
 
-std::string
+void
 Segmenter::rangeSignature(const std::vector<ScheduledOp> &ops, s64 lo,
-                          s64 hi) const
+                          s64 hi, std::string *out) const
 {
     // Signature of the segment's workloads + intra edges: memoised
     // per-op fragments plus range-relative dependency edges.
-    std::string key;
-    key.reserve(static_cast<std::size_t>(hi - lo) * 72);
+    std::string &key = *out;
+    key.clear();
     for (s64 i = lo; i < hi; ++i) {
         const ScheduledOp &op = ops[static_cast<std::size_t>(i)];
         key += opSig_[static_cast<std::size_t>(i)];
@@ -151,7 +193,6 @@ Segmenter::rangeSignature(const std::vector<ScheduledOp> &ops, s64 lo,
         }
         key.push_back('|');
     }
-    return key;
 }
 
 SegmentAllocation
@@ -325,11 +366,12 @@ Segmenter::run(const std::vector<ScheduledOp> &ops)
         // order): raw OpIds are allocator-global, so they never compare
         // equal across independently built graphs.
         std::unordered_map<s64, s64> group_of;
+        WarmEdgeInterner interner;
         for (std::size_t i = 0; i < ops.size(); ++i) {
             WarmOpMeta m;
             m.sig = opSig_[i];
-            m.preds = ops[i].preds;
-            m.reuseBytes = ops[i].reuseBytes;
+            m.edges = interner.intern(
+                WarmEdges{ops[i].preds, ops[i].reuseBytes});
             m.groupId = group_of
                             .emplace(static_cast<s64>(ops[i].work.opId),
                                      static_cast<s64>(group_of.size()))
@@ -590,42 +632,37 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
     // in the state is what lets the inner scan below run without
     // touching segment allocations at all. States are appended in k
     // order, preserving the reference search's ascending-key iteration
-    // (and therefore its exact tie-breaking).
-    struct FastState
-    {
-        s64 start = 0;
-        Cycles cost = kInfCycles;
-        s64 prevStart = -1;
-        s64 memArrays = 0; ///< memory arrays of segment [start, boundary)
-        s64 outBytes = 0;  ///< liveOutBytes(start, boundary, boundary)
-    };
-    std::vector<std::vector<FastState>> dp(static_cast<std::size_t>(n) + 1);
+    // (and therefore its exact tie-breaking). The state type is the
+    // retained WarmDpState itself.
+    std::vector<std::vector<WarmDpState>> dp(static_cast<std::size_t>(n)
+                                             + 1);
 
     // Warm import: every DP row up to the fullEq-safe prefix is, by the
     // warm_state.hpp soundness argument, exactly what this search would
     // recompute — take the neighbor's rows verbatim and start the
-    // boundary loop after them.
+    // boundary loop after them. Rows that could not have come from this
+    // search (see importableDpRows) drop the import: the DP runs cold.
     s64 first_boundary = 1;
-    if (dpPrefix_ > 0 && warmIn_ != nullptr) {
-        for (s64 b = 1; b <= dpPrefix_; ++b) {
-            const auto &row = warmIn_->dpRows[static_cast<std::size_t>(b)];
-            auto &dst = dp[static_cast<std::size_t>(b)];
-            dst.reserve(row.size());
-            for (const WarmDpState &st : row)
-                dst.push_back(FastState{st.start, st.cost, st.prevStart,
-                                        st.memArrays, st.outBytes});
-        }
+    if (dpPrefix_ > 0 && warmIn_ != nullptr
+        && importableDpRows(warmIn_->dpRows, min_start, dpPrefix_, n_cim)) {
+        for (s64 b = 1; b <= dpPrefix_; ++b)
+            dp[static_cast<std::size_t>(b)] =
+                warmIn_->dpRows[static_cast<std::size_t>(b)];
         warmStats_.dpRowsReused = dpPrefix_;
         first_boundary = dpPrefix_ + 1;
     }
 
-    // Scratch reused across candidate segments.
+    // Scratch reused across candidate segments. Each row is built in
+    // `row` and copied into dp[i] at its final size, so the table (which
+    // retention keeps) carries no growth slack.
     std::vector<const OpWorkload *> ws_view;
-    std::vector<std::pair<s64, s64>> crossing; // (producer, bytes), sorted
-    std::vector<s64> crossing_suffix;          // suffix byte sums
+    std::vector<s64> window; // crossing bytes by producer - min_start[k]
+    std::vector<WarmDpState> row;
+    s64 crossing_edges = 0;
 
     for (s64 i = first_boundary; i <= n; ++i) {
         obs::count(obs::Met::kDpBoundaries);
+        row.clear();
         for (s64 k = min_start[static_cast<std::size_t>(i)]; k < i; ++k) {
             const SegmentAllocation &cur = allocateCachedRef(ops, k, i);
             if (!cur.feasible())
@@ -640,7 +677,6 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                 ws_view.push_back(&ops[static_cast<std::size_t>(t)].work);
             const Cycles rewrite =
                 cost_->weightRewriteLatency(ws_view, cur.allocs);
-            const s64 inbound = inboundBytes(ops, k, i);
             const s64 cur_mem = cur.plan.memoryArrays;
             const Cycles intra = cur.intraLatency;
 
@@ -648,40 +684,43 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
             s64 best_prev = -1;
             if (k == 0) {
                 // First segment: switches from the all-compute boot
-                // state, initial weight load, no predecessor data.
+                // state, initial weight load, no predecessor data (no
+                // producer lies before op 0, so nothing is inbound).
                 SwitchDelta delta = deha.switchesBetween(n_cim, cur.plan);
                 best_cost = intra + deha.switchLatency(delta) + rewrite
-                          + cost_->mainMemoryTransfer(
-                                std::max<s64>(0, inbound));
+                          + cost_->mainMemoryTransfer(0);
                 best_prev = -1;
             } else if (!dp[static_cast<std::size_t>(k)].empty()) {
-                // Dependency edges crossing into [k, i) from before k,
-                // sorted by producer with suffix byte sums: the bytes a
-                // predecessor segment [j, k) hands over directly is the
-                // suffix at its start j — an O(log E) probe instead of
-                // the reference's full range walk per predecessor.
-                crossing.clear();
+                // Dependency edges crossing into [k, i) from before k.
+                // Every state of dp[k] starts in [min_start[k], k), so
+                // only producers in that window (at most kMaxSegmentOps
+                // wide) can be handed over directly: bucket their bytes
+                // by producer and take suffix sums, so the bytes a
+                // predecessor segment [j, k) hands over is one read at
+                // j. The same scan totals the inbound bytes.
+                const s64 base = min_start[static_cast<std::size_t>(k)];
+                window.assign(static_cast<std::size_t>(k - base), 0);
+                s64 inbound = 0;
                 for (s64 t = k; t < i; ++t) {
                     const ScheduledOp &op = ops[static_cast<std::size_t>(t)];
+                    crossing_edges += static_cast<s64>(op.preds.size());
                     for (std::size_t e = 0; e < op.preds.size(); ++e) {
-                        if (op.preds[e] < k)
-                            crossing.emplace_back(op.preds[e],
-                                                  op.reuseBytes[e]);
+                        const s64 p = op.preds[e];
+                        if (p >= k)
+                            continue;
+                        inbound += op.reuseBytes[e];
+                        if (p >= base)
+                            window[static_cast<std::size_t>(p - base)] +=
+                                op.reuseBytes[e];
                     }
                 }
-                std::sort(crossing.begin(), crossing.end());
-                crossing_suffix.assign(crossing.size() + 1, 0);
-                for (std::size_t c = crossing.size(); c-- > 0;)
-                    crossing_suffix[c] =
-                        crossing_suffix[c + 1] + crossing[c].second;
+                for (std::size_t c = window.size() - 1; c-- > 0;)
+                    window[c] += window[c + 1];
 
-                for (const FastState &st : dp[static_cast<std::size_t>(k)]) {
-                    auto from = std::lower_bound(
-                        crossing.begin(), crossing.end(),
-                        std::make_pair(st.start,
-                                       std::numeric_limits<s64>::min()));
-                    s64 direct = crossing_suffix[static_cast<std::size_t>(
-                        from - crossing.begin())];
+                for (const WarmDpState &st :
+                     dp[static_cast<std::size_t>(k)]) {
+                    s64 direct =
+                        window[static_cast<std::size_t>(st.start - base)];
                     s64 carry_cap = chip.bufferBytes;
                     if (memory_mode) {
                         carry_cap += std::min(st.memArrays, cur_mem)
@@ -713,34 +752,20 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
                 }
             }
             if (best_cost < kInfCycles) {
-                dp[static_cast<std::size_t>(i)].push_back(
-                    FastState{k, best_cost, best_prev, cur_mem,
-                              liveOutBytes(ops, k, i, i)});
+                row.push_back(WarmDpState{k, best_cost, best_prev, cur_mem,
+                                          liveOutBytes(ops, k, i, i)});
             }
         }
+        dp[static_cast<std::size_t>(i)] = row;
     }
-
-    // Retention: the full DP table, whether each row was computed here
-    // or imported (imported rows are byte-equal to a cold compute, so a
-    // chained warm compile retains the same state a cold one would).
-    if (retain_) {
-        lastDpRows_.clear();
-        lastDpRows_.resize(dp.size());
-        for (std::size_t b = 0; b < dp.size(); ++b) {
-            lastDpRows_[b].reserve(dp[b].size());
-            for (const FastState &st : dp[b])
-                lastDpRows_[b].push_back(
-                    WarmDpState{st.start, st.cost, st.prevStart,
-                                st.memArrays, st.outBytes});
-        }
-    }
+    obs::count(obs::Met::kDpCrossingEdges, crossing_edges);
 
     // Pick the best terminal state and backtrack the segmentation.
     cmswitch_assert(!dp[static_cast<std::size_t>(n)].empty(),
                     "network has no feasible segmentation");
     s64 best_k = -1;
     Cycles best_cost = kInfCycles;
-    for (const FastState &st : dp[static_cast<std::size_t>(n)]) {
+    for (const WarmDpState &st : dp[static_cast<std::size_t>(n)]) {
         if (st.cost < best_cost) {
             best_cost = st.cost;
             best_k = st.start;
@@ -754,12 +779,22 @@ Segmenter::runDp(const std::vector<ScheduledOp> &ops)
         const auto &states = dp[static_cast<std::size_t>(i)];
         auto it = std::lower_bound(
             states.begin(), states.end(), k,
-            [](const FastState &st, s64 start) { return st.start < start; });
+            [](const WarmDpState &st, s64 start) { return st.start < start; });
         cmswitch_assert(it != states.end() && it->start == k,
                         "DP backlink missing");
         i = k;
         k = it->prevStart;
     }
+
+    // Retention: the full DP table, whether each row was computed here
+    // or imported (imported rows are byte-equal to a cold compute, so a
+    // chained warm compile retains the same state a cold one would).
+    // A copy, not a move: the copy is allocated in one burst at the end
+    // of the search, so the retained state does not pin the heap pages
+    // the search's transient allocations were interleaved with.
+    if (retain_)
+        lastDpRows_ = dp;
+
     std::reverse(ranges.begin(), ranges.end());
     return finalize(ops, std::move(ranges));
 }
@@ -1032,6 +1067,9 @@ Segmenter::exportWarmState() const
         targets.push_back(owned(entry.second));
         index.emplace(targets.back(), -1);
     }
+    state->sigs.reserve(index.size());
+    state->allocs.reserve(index.size());
+    state->bases.reserve(index.size());
     for (const auto &entry : cache_) {
         auto it = index.find(&entry.second);
         if (it == index.end())

@@ -169,10 +169,11 @@ class Segmenter
     const SegmentAllocation &
     allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi);
 
-    /** Signature-cache key of segment [lo, hi): memoised per-op
-     *  fragments plus range-relative dependency edges. */
-    std::string rangeSignature(const std::vector<ScheduledOp> &ops, s64 lo,
-                               s64 hi) const;
+    /** Signature-cache key of segment [lo, hi) into @p out (replacing
+     *  its contents): memoised per-op fragments plus range-relative
+     *  dependency edges. */
+    void rangeSignature(const std::vector<ScheduledOp> &ops, s64 lo, s64 hi,
+                        std::string *out) const;
 
     /** Value-returning wrapper kept for the reference/greedy paths. */
     SegmentAllocation allocateCached(const std::vector<ScheduledOp> &ops,
@@ -212,6 +213,7 @@ class Segmenter
     /** Cross-run signature cache: segment shape -> allocation. Node
      *  stability matters — the range cache stores pointers into it. */
     std::unordered_map<std::string, SegmentAllocation> cache_;
+    std::string sigScratch_; ///< rangeSignature() buffer, reused
     s64 cacheHits_ = 0;
     s64 cacheMisses_ = 0;
 

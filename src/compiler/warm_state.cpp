@@ -1,6 +1,7 @@
 #include "compiler/warm_state.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "support/hash.hpp"
 #include "support/serialize.hpp"
@@ -34,14 +35,33 @@ readS64Vec(BinaryReader &r, const char *what)
 
 } // namespace
 
+std::shared_ptr<const WarmEdges>
+WarmEdgeInterner::intern(WarmEdges edges)
+{
+    auto [it, inserted] = lists_.try_emplace(std::move(edges));
+    if (inserted)
+        it->second = std::make_shared<const WarmEdges>(it->first);
+    return it->second;
+}
+
+const std::shared_ptr<const WarmEdges> &
+WarmOpMeta::noEdges()
+{
+    static const std::shared_ptr<const WarmEdges> empty =
+        std::make_shared<const WarmEdges>();
+    return empty;
+}
+
 bool
 WarmOpMeta::structEqShifted(const WarmOpMeta &other, s64 delta) const
 {
-    if (sig != other.sig || reuseBytes != other.reuseBytes
-        || preds.size() != other.preds.size())
+    const std::vector<s64> &p = preds();
+    const std::vector<s64> &q = other.preds();
+    if (sig != other.sig || reuseBytes() != other.reuseBytes()
+        || p.size() != q.size())
         return false;
-    for (std::size_t e = 0; e < preds.size(); ++e) {
-        if (preds[e] != other.preds[e] + delta)
+    for (std::size_t e = 0; e < p.size(); ++e) {
+        if (p[e] != q[e] + delta)
             return false;
     }
     return true;
@@ -51,15 +71,17 @@ bool
 WarmOpMeta::relaxedEqShifted(const WarmOpMeta &other, s64 delta,
                              s64 *abs_max) const
 {
-    if (sig != other.sig || reuseBytes != other.reuseBytes
-        || preds.size() != other.preds.size())
+    const std::vector<s64> &p = preds();
+    const std::vector<s64> &q = other.preds();
+    if (sig != other.sig || reuseBytes() != other.reuseBytes()
+        || p.size() != q.size())
         return false;
     s64 abs = -1;
-    for (std::size_t e = 0; e < preds.size(); ++e) {
-        if (preds[e] == other.preds[e] + delta)
+    for (std::size_t e = 0; e < p.size(); ++e) {
+        if (p[e] == q[e] + delta)
             continue; // shifts with the block
-        if (delta != 0 && preds[e] == other.preds[e]) {
-            abs = std::max(abs, preds[e]); // shared absolute producer
+        if (delta != 0 && p[e] == q[e]) {
+            abs = std::max(abs, p[e]); // shared absolute producer
             continue;
         }
         return false;
@@ -74,8 +96,8 @@ CompilerWarmState::writeBinary(BinaryWriter &w) const
     w.writeS64(static_cast<s64>(ops.size()));
     for (const WarmOpMeta &op : ops) {
         w.writeString(op.sig);
-        writeS64Vec(w, op.preds);
-        writeS64Vec(w, op.reuseBytes);
+        writeS64Vec(w, op.preds());
+        writeS64Vec(w, op.reuseBytes());
         w.writeS64(op.groupId);
         w.writeS64(op.lastConsumer);
         w.writeS64(op.maxEdgeBytes);
@@ -124,13 +146,16 @@ CompilerWarmState::readBinary(BinaryReader &r)
     CompilerWarmState state;
     s64 n_ops = r.readBounded(kMaxCount, "warm op count");
     state.ops.reserve(static_cast<std::size_t>(n_ops));
+    WarmEdgeInterner interner;
     for (s64 i = 0; i < n_ops; ++i) {
         WarmOpMeta op;
         op.sig = r.readString();
-        op.preds = readS64Vec(r, "warm pred count");
-        op.reuseBytes = readS64Vec(r, "warm reuse count");
-        if (op.reuseBytes.size() != op.preds.size())
+        WarmEdges edges;
+        edges.preds = readS64Vec(r, "warm pred count");
+        edges.reuseBytes = readS64Vec(r, "warm reuse count");
+        if (edges.reuseBytes.size() != edges.preds.size())
             throw SerializeError("warm op pred/reuse length mismatch");
+        op.edges = interner.intern(std::move(edges));
         op.groupId = r.readS64();
         op.lastConsumer = r.readS64();
         op.maxEdgeBytes = r.readS64();
@@ -247,6 +272,29 @@ warmAlign(const std::vector<WarmOpMeta> &cur,
         return true;
     };
 
+    // A run starts only at a hash-equal pair, so sort the neighbor's
+    // positions by (hash, position) and give each current position the
+    // slice of its own hash: the resync then tries hash-equal pairs
+    // only, and a batch change that aligns nothing costs next to
+    // nothing.
+    using Entry = std::pair<u64, s64>;
+    using It = std::vector<Entry>::const_iterator;
+    std::vector<Entry> by_hash;
+    by_hash.reserve(static_cast<std::size_t>(m));
+    for (s64 y = 0; y < m; ++y)
+        by_hash.emplace_back(hb[static_cast<std::size_t>(y)], y);
+    std::sort(by_hash.begin(), by_hash.end());
+    std::vector<std::pair<It, It>> slice_of(static_cast<std::size_t>(n));
+    for (s64 x = 0; x < n; ++x) {
+        const u64 h = ha[static_cast<std::size_t>(x)];
+        It first = std::lower_bound(
+            by_hash.cbegin(), by_hash.cend(),
+            Entry(h, std::numeric_limits<s64>::min()));
+        It last = std::upper_bound(first, by_hash.cend(),
+                                   Entry(h, std::numeric_limits<s64>::max()));
+        slice_of[static_cast<std::size_t>(x)] = {first, last};
+    }
+
     s64 i = 0;
     s64 j = 0;
     while (i < n && j < m) {
@@ -257,21 +305,30 @@ warmAlign(const std::vector<WarmOpMeta> &cur,
             ++j;
             continue;
         }
-        bool found = false;
-        for (s64 t = 1; t <= kMaxSkew && !found; ++t) {
-            for (s64 di = 0; di <= t; ++di) {
-                s64 dj = t - di;
-                if (i + di >= n || j + dj >= m)
-                    continue;
-                if (run_eq(i + di, j + dj)) {
-                    i += di;
-                    j += dj;
-                    found = true;
+        // Resync order: smallest t = di + dj (1 <= t <= kMaxSkew), then
+        // smallest di. Walking di upward, each di's first run-starting
+        // candidate is its smallest t; a later di wins only with a
+        // strictly smaller t, so the walk stops once di reaches the
+        // best t found.
+        s64 best_t = kMaxSkew + 1;
+        s64 best_di = 0;
+        for (s64 di = 0; di < best_t && i + di < n; ++di) {
+            const auto x = static_cast<std::size_t>(i + di);
+            const auto [first, last] = slice_of[x];
+            for (It y = std::lower_bound(first, last,
+                                         Entry(ha[x], di == 0 ? j + 1 : j));
+                 y != last && di + (y->second - j) < best_t; ++y) {
+                if (run_eq(i + di, y->second)) {
+                    best_t = di + (y->second - j);
+                    best_di = di;
                     break;
                 }
             }
         }
-        if (!found) {
+        if (best_t <= kMaxSkew) {
+            i += best_di;
+            j += best_t - best_di;
+        } else {
             // No resync within the skew bound: advance past the current
             // position and retry (pathological inputs; the fuzz battery
             // exercises this path).

@@ -49,6 +49,8 @@
 #ifndef CMSWITCH_COMPILER_WARM_STATE_HPP
 #define CMSWITCH_COMPILER_WARM_STATE_HPP
 
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -60,22 +62,58 @@ namespace cmswitch {
 class BinaryReader;
 class BinaryWriter;
 
+/** One op's dependency list. */
+struct WarmEdges
+{
+    std::vector<s64> preds;      ///< direct predecessors (absolute indices)
+    std::vector<s64> reuseBytes; ///< Eq. 6 bounds, parallel to preds
+
+    bool operator==(const WarmEdges &other) const
+    {
+        return preds == other.preds && reuseBytes == other.reuseBytes;
+    }
+    bool operator<(const WarmEdges &other) const
+    {
+        return preds != other.preds ? preds < other.preds
+                                    : reuseBytes < other.reuseBytes;
+    }
+};
+
+/**
+ * Hands out one shared, immutable WarmEdges per distinct list. Sliced
+ * sub-ops fan in from the same slices, so a graph repeats a handful of
+ * lists across all its ops (a 2-layer opt-13b decode: 10 distinct
+ * lists over 1,092 ops and 54,664 edges); sharing them is most of what
+ * keeps a retained state small.
+ */
+class WarmEdgeInterner
+{
+  public:
+    std::shared_ptr<const WarmEdges> intern(WarmEdges edges);
+
+  private:
+    std::map<WarmEdges, std::shared_ptr<const WarmEdges>> lists_;
+};
+
 /** Structural metadata of one flattened op, as the DP search sees it. */
 struct WarmOpMeta
 {
-    std::string sig;            ///< opSignature fragment (workload shape)
-    std::vector<s64> preds;     ///< direct predecessors (absolute indices)
-    std::vector<s64> reuseBytes;///< Eq. 6 bounds, parallel to preds
-    s64 groupId = -1;           ///< Eq. 2 rewrite group (originating OpId)
-    s64 lastConsumer = -1;      ///< max consumer index, or -1
-    s64 maxEdgeBytes = 0;       ///< widest outgoing edge
-    s64 liveOutBytes = 0;       ///< bytes live past the network end
+    std::string sig; ///< opSignature fragment (workload shape)
+    /** Dependency list, shared with every equal list (never null). */
+    std::shared_ptr<const WarmEdges> edges = noEdges();
+    s64 groupId = -1;      ///< Eq. 2 rewrite group (originating OpId)
+    s64 lastConsumer = -1; ///< max consumer index, or -1
+    s64 maxEdgeBytes = 0;  ///< widest outgoing edge
+    s64 liveOutBytes = 0;  ///< bytes live past the network end
+
+    const std::vector<s64> &preds() const { return edges->preds; }
+    const std::vector<s64> &reuseBytes() const { return edges->reuseBytes; }
 
     /** Equality of everything a range signature folds in. */
     bool structEq(const WarmOpMeta &other) const
     {
-        return sig == other.sig && preds == other.preds
-            && reuseBytes == other.reuseBytes;
+        return sig == other.sig
+            && (edges == other.edges || *edges == *other.edges);
     }
 
     /** structEq with this op's indices shifted down by @p delta
@@ -104,16 +142,20 @@ struct WarmOpMeta
             && maxEdgeBytes == other.maxEdgeBytes
             && liveOutBytes == other.liveOutBytes;
     }
+
+    /** The shared empty list a default-constructed op starts with. */
+    static const std::shared_ptr<const WarmEdges> &noEdges();
 };
 
-/** One retained DP state (mirrors the fast search's FastState). */
+/** One DP state of the fast search (Segmenter::runDp keeps its table
+ *  in this type, so retaining it is a plain copy). */
 struct WarmDpState
 {
-    s64 start = 0;
-    Cycles cost = 0;
-    s64 prevStart = -1;
-    s64 memArrays = 0;
-    s64 outBytes = 0;
+    s64 start = 0;      ///< segment [start, boundary)
+    Cycles cost = 0;    ///< best prefix cost ending with that segment
+    s64 prevStart = -1; ///< start of the previous segment, or -1
+    s64 memArrays = 0;  ///< memory arrays of segment [start, boundary)
+    s64 outBytes = 0;   ///< liveOutBytes(start, boundary, boundary)
 };
 
 /** Positional binding: range [lo, hi) resolved to allocation #index. */
@@ -187,6 +229,17 @@ struct WarmMatch
  * reuse, never soundness. Matched positions with one constant shift
  * form the runs whose interior ranges import positionally (subject to
  * the per-range absMax bound).
+ *
+ * Resync order: after a mismatch at (i, j) the walk re-anchors at the
+ * pair (i + di, j + dj) with the smallest skip t = di + dj
+ * (1 <= t <= 512), ties to the smallest di, that starts a run of 8
+ * matching positions (shorter only at the end of a list); with none,
+ * it steps past (i, j). Only pairs with equal signature hashes can
+ * start a run, so the neighbor's positions are indexed by hash and the
+ * resync tries those candidates alone: its cost follows the number of
+ * hash-equal candidates within the skew bound, not the bound squared,
+ * and a neighbor that shares no signatures (a batch change) costs one
+ * index lookup per skipped position.
  */
 std::vector<WarmMatch> warmAlign(const std::vector<WarmOpMeta> &cur,
                                  const std::vector<WarmOpMeta> &neighbor);

@@ -304,6 +304,7 @@ metName(Met m)
     case Met::kDiskCacheStores: return "disk_cache.stores";
     case Met::kDiskCacheTouchFailed: return "disk_cache.touch_failed";
     case Met::kDpBoundaries: return "dp.boundaries";
+    case Met::kDpCrossingEdges: return "dp.crossing_edges";
     case Met::kDpSigCacheHits: return "dp.sig_cache_hits";
     case Met::kDpSigCacheMisses: return "dp.sig_cache_misses";
     case Met::kIncrementalDpRowsReused:

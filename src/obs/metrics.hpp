@@ -165,6 +165,7 @@ enum class Met : u32 {
     kDiskCacheStores,
     kDiskCacheTouchFailed,
     kDpBoundaries,
+    kDpCrossingEdges,
     kDpSigCacheHits,
     kDpSigCacheMisses,
     kIncrementalDpRowsReused,

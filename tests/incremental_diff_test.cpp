@@ -41,7 +41,9 @@
 #include "service/incremental/incremental_compile.hpp"
 #include "service/incremental/structural_digest.hpp"
 #include "service/incremental/warm_state_store.hpp"
+#include "support/hash.hpp"
 #include "support/serialize.hpp"
+#include "fuzz_recipe.hpp"
 #include "test_util.hpp"
 
 namespace cmswitch {
@@ -444,6 +446,276 @@ TEST(IncrementalDiff, BaselineCompilerWarmPathIsByteIdentical)
     CompileResult warm =
         baseline->compileWarm(graph, retained, nullptr, &stats);
     EXPECT_EQ(resultBytes(warm), cold);
+}
+
+/**
+ * The quadratic resync warmAlign used before its candidates were
+ * indexed by signature hash, kept verbatim as the differential
+ * reference: at each mismatch it tries every (di, dj) with
+ * 1 <= di + dj <= 512, smallest sum first, then smallest di.
+ */
+std::vector<WarmMatch>
+referenceWarmAlign(const std::vector<WarmOpMeta> &cur,
+                   const std::vector<WarmOpMeta> &neighbor)
+{
+    const s64 n = static_cast<s64>(cur.size());
+    const s64 m = static_cast<s64>(neighbor.size());
+    std::vector<WarmMatch> match(static_cast<std::size_t>(n));
+    if (n == 0 || m == 0)
+        return match;
+    std::vector<u64> ha(static_cast<std::size_t>(n));
+    std::vector<u64> hb(static_cast<std::size_t>(m));
+    for (s64 i = 0; i < n; ++i)
+        ha[static_cast<std::size_t>(i)] =
+            fnv1a64(cur[static_cast<std::size_t>(i)].sig);
+    for (s64 j = 0; j < m; ++j)
+        hb[static_cast<std::size_t>(j)] =
+            fnv1a64(neighbor[static_cast<std::size_t>(j)].sig);
+    s64 abs_scratch = -1;
+    auto pair_eq = [&](s64 x, s64 y) {
+        return ha[static_cast<std::size_t>(x)]
+                   == hb[static_cast<std::size_t>(y)]
+            && cur[static_cast<std::size_t>(x)].relaxedEqShifted(
+                neighbor[static_cast<std::size_t>(y)], x - y,
+                &abs_scratch);
+    };
+    constexpr s64 kResync = 8;
+    constexpr s64 kMaxSkew = 512;
+    auto run_eq = [&](s64 x, s64 y) {
+        for (s64 r = 0; r < kResync && x + r < n && y + r < m; ++r) {
+            if (!pair_eq(x + r, y + r))
+                return false;
+        }
+        return true;
+    };
+    s64 i = 0;
+    s64 j = 0;
+    while (i < n && j < m) {
+        if (pair_eq(i, j)) {
+            match[static_cast<std::size_t>(i)] = WarmMatch{j, abs_scratch};
+            ++i;
+            ++j;
+            continue;
+        }
+        bool found = false;
+        for (s64 t = 1; t <= kMaxSkew && !found; ++t) {
+            for (s64 di = 0; di <= t; ++di) {
+                s64 dj = t - di;
+                if (i + di >= n || j + dj >= m)
+                    continue;
+                if (run_eq(i + di, j + dj)) {
+                    i += di;
+                    j += dj;
+                    found = true;
+                    break;
+                }
+            }
+        }
+        if (!found) {
+            ++i;
+            ++j;
+        }
+    }
+    return match;
+}
+
+/** The op metadata a retaining compile of @p graph records. */
+std::vector<WarmOpMeta>
+retainedOps(const Compiler &compiler, const Graph &graph)
+{
+    std::shared_ptr<CompilerWarmState> retained;
+    compiler.compileWarm(graph, nullptr, &retained, nullptr);
+    return retained != nullptr ? retained->ops : std::vector<WarmOpMeta>{};
+}
+
+/** warmAlign(cur, neighbor) == the quadratic reference, as
+ *  (index, absMax) pairs; returns how many positions matched. */
+s64
+expectAlignMatchesReference(const std::vector<WarmOpMeta> &cur,
+                            const std::vector<WarmOpMeta> &neighbor)
+{
+    std::vector<WarmMatch> fast = warmAlign(cur, neighbor);
+    std::vector<WarmMatch> ref = referenceWarmAlign(cur, neighbor);
+    EXPECT_EQ(fast.size(), ref.size());
+    s64 matched = 0;
+    for (std::size_t i = 0; i < std::min(fast.size(), ref.size()); ++i) {
+        EXPECT_EQ(fast[i].index, ref[i].index) << "position " << i;
+        EXPECT_EQ(fast[i].absMax, ref[i].absMax) << "position " << i;
+        matched += fast[i].index >= 0 ? 1 : 0;
+    }
+    return matched;
+}
+
+/** Differential: the hash-indexed resync equals the quadratic one on
+ *  the incremental fuzz battery's mutated pairs (both directions). */
+TEST(IncrementalDiff, WarmAlignMatchesQuadraticResyncOnMutations)
+{
+    for (int seed = 0; seed < 12; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        // The IncrementalDiffFuzz draw sequence, so the pairs are its own.
+        Rng rng(static_cast<u64>(seed) * 0x9e3779b97f4a7c15ull + 29);
+        ChipConfig chip = tinyChip(rng.nextInt(6, 14));
+        testing::FuzzRecipe recipe = testing::randomRecipe(rng);
+        Graph original = testing::buildRecipe(recipe);
+        testing::FuzzRecipe mutant = recipe;
+        testing::mutateRecipe(mutant, rng);
+        Graph mutated = testing::buildRecipe(mutant);
+
+        auto compiler = makeCmSwitchCompiler(chip);
+        std::vector<WarmOpMeta> a = retainedOps(*compiler, original);
+        std::vector<WarmOpMeta> b = retainedOps(*compiler, mutated);
+        expectAlignMatchesReference(b, a);
+        expectAlignMatchesReference(a, b);
+    }
+}
+
+/**
+ * Differential on the generative shapes the plan table serves: batch-1
+ * → batch-4 neighbors (decode at KV 97, prefill, and decode KV 140 →
+ * prefill), where little or nothing lines up and the resync search
+ * does the most work, plus KV-step decode neighbors, where nearly
+ * everything lines up.
+ */
+TEST(IncrementalDiff, WarmAlignMatchesQuadraticResyncOnGenerativePairs)
+{
+    ChipConfig chip = ChipConfig::dynaplasia();
+    auto compiler = makeCmSwitchCompiler(chip);
+    for (const char *model : {"opt-13b", "llama2-7b"}) {
+        SCOPED_TRACE(model);
+        TransformerConfig cfg = transformerConfigByName(model);
+        cfg.layers = 2;
+        auto ops_of = [&](const Graph &g) {
+            return retainedOps(*compiler, g);
+        };
+        std::vector<WarmOpMeta> decode_b1 =
+            ops_of(buildTransformerDecodeStep(cfg, 1, 97));
+        std::vector<WarmOpMeta> decode_b4 =
+            ops_of(buildTransformerDecodeStep(cfg, 4, 97));
+        std::vector<WarmOpMeta> prefill_b1 =
+            ops_of(buildTransformerPrefill(cfg, 1, 64));
+        std::vector<WarmOpMeta> prefill_b4 =
+            ops_of(buildTransformerPrefill(cfg, 4, 64));
+        std::vector<WarmOpMeta> decode_b1_kv140 =
+            ops_of(buildTransformerDecodeStep(cfg, 1, 140));
+        std::vector<WarmOpMeta> decode_b1_kv113 =
+            ops_of(buildTransformerDecodeStep(cfg, 1, 113));
+
+        {
+            SCOPED_TRACE("decode b1 -> b4");
+            expectAlignMatchesReference(decode_b4, decode_b1);
+        }
+        {
+            SCOPED_TRACE("prefill b1 -> b4");
+            expectAlignMatchesReference(prefill_b4, prefill_b1);
+        }
+        {
+            SCOPED_TRACE("decode b1 kv 140 -> prefill b4");
+            expectAlignMatchesReference(prefill_b4, decode_b1_kv140);
+        }
+        {
+            SCOPED_TRACE("decode kv 97 -> 113 -> 140");
+            EXPECT_GT(expectAlignMatchesReference(decode_b1_kv113,
+                                                  decode_b1),
+                      0);
+            EXPECT_GT(expectAlignMatchesReference(decode_b1_kv140,
+                                                  decode_b1_kv113),
+                      0);
+        }
+    }
+    std::vector<Graph> sweep = decodeSweep(4);
+    for (std::size_t i = 1; i < sweep.size(); ++i) {
+        SCOPED_TRACE("llama2-7b sweep step " + std::to_string(i));
+        EXPECT_GT(expectAlignMatchesReference(
+                      retainedOps(*compiler, sweep[i]),
+                      retainedOps(*compiler, sweep[i - 1])),
+                  0);
+    }
+}
+
+/**
+ * A .warm sidecar whose digest verifies can still carry DP rows this
+ * search could never produce: a state starting outside its row's
+ * feasible window [min_start[b], b), out of order, with more memory
+ * arrays than the chip has, or backlinked to a state that does not
+ * exist. Each must drop the row import — the compile runs the DP cold
+ * and its plan is byte-identical to a cold compile — and must never be
+ * indexed by (the ASan job runs this).
+ */
+TEST(IncrementalDiff, TamperedDpRowsDropTheRowImport)
+{
+    ScratchDir dir("tampered_rows");
+    ChipConfig chip = ChipConfig::dynaplasia();
+    auto compiler = makeCmSwitchCompiler(chip);
+    Graph graph = decodeSweep(1)[0];
+    CompileRequest request = makeRequest(chip, graph);
+    StructuralDigest digest = requestStructuralDigest(request);
+    const std::string cold = resultBytes(compiler->compile(graph));
+
+    std::shared_ptr<CompilerWarmState> clean;
+    compiler->compileWarm(graph, nullptr, &clean, nullptr);
+    ASSERT_NE(clean, nullptr);
+    const std::size_t rows = clean->dpRows.size();
+    ASSERT_GT(rows, 100u); // boundaries past kMaxSegmentOps exist
+    // A late boundary: its window [min_start, b) starts well above 0.
+    const std::size_t late = rows - 1;
+    const std::size_t mid = rows / 2;
+    ASSERT_GE(clean->dpRows[late].size(), 2u);
+    ASSERT_FALSE(clean->dpRows[mid].empty());
+
+    using Tamper = void (*)(CompilerWarmState &, std::size_t, std::size_t);
+    const std::vector<std::pair<const char *, Tamper>> tampers = {
+        {"start at the boundary",
+         [](CompilerWarmState &s, std::size_t, std::size_t b) {
+             s.dpRows[b].back().start = static_cast<s64>(b);
+         }},
+        {"start below the window",
+         [](CompilerWarmState &s, std::size_t, std::size_t b) {
+             s.dpRows[b].front().start = 0;
+             s.dpRows[b].front().prevStart = -1;
+         }},
+        {"negative start",
+         [](CompilerWarmState &s, std::size_t b, std::size_t) {
+             s.dpRows[b].front().start = -7;
+         }},
+        {"starts out of order",
+         [](CompilerWarmState &s, std::size_t, std::size_t b) {
+             std::swap(s.dpRows[b][0], s.dpRows[b][1]);
+         }},
+        {"memory arrays beyond the chip",
+         [](CompilerWarmState &s, std::size_t b, std::size_t) {
+             s.dpRows[b].front().memArrays = 1 << 20;
+         }},
+        {"dangling backlink",
+         [](CompilerWarmState &s, std::size_t, std::size_t b) {
+             s.dpRows[b].back().prevStart = static_cast<s64>(b) + 3;
+         }},
+    };
+    for (const auto &[what, tamper] : tampers) {
+        SCOPED_TRACE(what);
+        auto bad = std::make_shared<CompilerWarmState>(*clean);
+        tamper(*bad, mid, late);
+        {
+            WarmStateStore store(dir.str());
+            store.put(digest, bad);
+        }
+        // A fresh store reads the sidecar back from disk: the digest is
+        // valid, only the content is impossible.
+        WarmStateStore reloaded(dir.str());
+        WarmStateStore::Neighbor neighbor = reloaded.findNeighbor(digest);
+        ASSERT_NE(neighbor.state, nullptr);
+        ASSERT_TRUE(neighbor.exact);
+        WarmReuseStats stats;
+        CompileResult warm =
+            compiler->compileWarm(graph, neighbor.state, nullptr, &stats);
+        EXPECT_EQ(resultBytes(warm), cold);
+        EXPECT_EQ(stats.dpRowsReused, 0);
+    }
+
+    // The untampered state still imports every row.
+    WarmReuseStats stats;
+    CompileResult warm = compiler->compileWarm(graph, clean, nullptr, &stats);
+    EXPECT_EQ(resultBytes(warm), cold);
+    EXPECT_GT(stats.dpRowsReused, 0);
 }
 
 } // namespace

@@ -435,6 +435,7 @@ TEST(MetricsRegistry, SnapshotKeysArePinnedAndSorted)
         "disk_cache.stores",
         "disk_cache.touch_failed",
         "dp.boundaries",
+        "dp.crossing_edges",
         "dp.sig_cache_hits",
         "dp.sig_cache_misses",
         "incremental.dp_rows_reused",
