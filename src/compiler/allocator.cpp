@@ -110,37 +110,64 @@ DualModeAllocator::needsForTarget(const OpWorkload &w, Cycles t,
     return n;
 }
 
+struct DualModeAllocator::Search
+{
+    std::vector<double> shares; ///< Eq. 10 DMain shares (independent of t)
+
+    /** Per-probe scratch, reused so a probe allocates nothing. */
+    std::vector<Needs> needs;
+    std::vector<s64> memIn, memOut, pool;
+
+    /** Needs of the latest feasible / infeasible boolean probe. */
+    std::vector<Needs> fitNeeds, overNeeds;
+};
+
 bool
 DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
-                             SegmentAllocation *out, LpWarmStart *warm) const
+                             SegmentAllocation *out, Search &search) const
 {
     if (out == nullptr)
         obs::count(obs::Met::kAllocProbes);
     obs::Span probeSpan(out == nullptr ? "alloc.probe" : "alloc.fill",
                         "allocator");
     probeSpan.arg("target", t);
+    const std::size_t n_ops = segment.ops.size();
+
+    std::vector<Needs> &needs = search.needs;
+    needs.resize(n_ops);
+    s64 total = 0;
+    for (std::size_t i = 0; i < n_ops; ++i) {
+        needs[i] = needsForTarget(*segment.ops[i], t, search.shares[i]);
+        if (!needs[i].feasible)
+            return false;
+        total += needs[i].computeArrays + needs[i].memoryArrays;
+    }
+
+    // Bracket reuse (see the file comment): the verdict depends on the
+    // needs alone, so equal needs repeat a known verdict. Matching is
+    // sound in any probe order; the bisection's order makes it complete.
+    const bool bracketed = out == nullptr && !options_.referenceSearch;
+    if (bracketed) {
+        const bool fit_end = needs == search.fitNeeds;
+        if (fit_end || needs == search.overNeeds) {
+            obs::count(obs::Met::kAllocProbeBracketHits);
+            return fit_end;
+        }
+    }
+    bool fits = fitsChip(segment, total, out, search);
+    if (bracketed)
+        (fits ? search.fitNeeds : search.overNeeds) = needs;
+    return fits;
+}
+
+bool
+DualModeAllocator::fitsChip(const SegmentView &segment, s64 total,
+                            SegmentAllocation *out, Search &search) const
+{
     const s64 n_ops = static_cast<s64>(segment.ops.size());
     const s64 n_cim = cost_->chip().numSwitchArrays;
     const s64 array_bytes = cost_->chip().arrayMemoryBytes();
-
-    std::vector<double> shares =
-        options_.pipelined
-            ? CostModel::dmainShares(segment.ops)
-            : std::vector<double>(segment.ops.size(), 1.0);
-
-    std::vector<Needs> needs(static_cast<std::size_t>(n_ops));
-    std::vector<s64> mem_in(static_cast<std::size_t>(n_ops), 0);
-    std::vector<s64> mem_out(static_cast<std::size_t>(n_ops), 0);
-    s64 total = 0;
-    for (s64 i = 0; i < n_ops; ++i) {
-        const OpWorkload &w = *segment.ops[static_cast<std::size_t>(i)];
-        needs[static_cast<std::size_t>(i)] =
-            needsForTarget(w, t, shares[static_cast<std::size_t>(i)]);
-        if (!needs[static_cast<std::size_t>(i)].feasible)
-            return false;
-        total += needs[static_cast<std::size_t>(i)].computeArrays
-               + needs[static_cast<std::size_t>(i)].memoryArrays;
-    }
+    const std::vector<Needs> &needs = search.needs;
 
     // Boolean-only probes (the latency bisection passes out ==
     // nullptr) only need to know whether the packed segment fits
@@ -172,7 +199,8 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             return false;
         }
         s64 reuse_lb = 0;
-        std::vector<s64> probe_pool(static_cast<std::size_t>(n_ops));
+        std::vector<s64> &probe_pool = search.pool;
+        probe_pool.resize(static_cast<std::size_t>(n_ops));
         for (s64 i = 0; i < n_ops; ++i) {
             probe_pool[static_cast<std::size_t>(i)] =
                 needs[static_cast<std::size_t>(i)].memoryArrays;
@@ -198,8 +226,11 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
     // split variables join the MIP. Large segments fall back to a
     // greedy pool assignment (the instances the MIP certifies in the
     // tests are exactly the small ones).
+    std::vector<s64> &mem_in = search.memIn;
+    std::vector<s64> &mem_out = search.memOut;
+    mem_in.assign(static_cast<std::size_t>(n_ops), 0);
+    mem_out.assign(static_cast<std::size_t>(n_ops), 0);
     s64 reuse_total = 0;
-    std::vector<s64> reuse_edge(segment.edges.size(), 0);
     bool need_split = true;
     if (!segment.edges.empty() && options_.allowMemoryMode) {
         if (static_cast<s64>(segment.edges.size()) + 2 * n_ops <= 40) {
@@ -248,14 +279,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             for (VarId v : edge_vars)
                 objective.add(v, 1.0);
             mip.setObjective(objective, Sense::kMaximize);
-            MipOptions mip_options;
-            // Warm pivoting only on boolean probes: the filling solve
-            // must replay the exact cold pivot path so the chosen
-            // reuse splits stay bit-identical to the reference mode.
-            mip_options.warmStart =
-                (out == nullptr && !options_.referenceSearch) ? warm
-                                                              : nullptr;
-            MipResult res = solveMip(mip, mip_options);
+            MipResult res = solveMip(mip, MipOptions{});
             cmswitch_assert(res.status == SolveStatus::kOptimal,
                             "reuse MIP must be feasible");
             reuse_total = static_cast<s64>(std::llround(res.objective));
@@ -268,26 +292,21 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
                     needs[static_cast<std::size_t>(i)].memoryArrays
                     - mem_in[static_cast<std::size_t>(i)];
             }
-            for (std::size_t e = 0; e < segment.edges.size(); ++e) {
-                reuse_edge[e] = static_cast<s64>(std::llround(
-                    res.values[static_cast<std::size_t>(edge_vars[e])]));
-            }
             need_split = false;
         } else {
             // Greedy pool variant for wide segments: each op exposes
             // its memory arrays as a shared in/out pool; edges claim
             // from both endpoint pools.
-            std::vector<s64> pool(static_cast<std::size_t>(n_ops));
+            std::vector<s64> &pool = search.pool;
+            pool.resize(static_cast<std::size_t>(n_ops));
             for (s64 i = 0; i < n_ops; ++i) {
                 pool[static_cast<std::size_t>(i)] =
                     needs[static_cast<std::size_t>(i)].memoryArrays;
             }
-            for (std::size_t e = 0; e < segment.edges.size(); ++e) {
-                const SegmentView::Edge &edge = segment.edges[e];
+            for (const SegmentView::Edge &edge : segment.edges) {
                 s64 r = std::min({pool[static_cast<std::size_t>(edge.from)],
                                   pool[static_cast<std::size_t>(edge.to)],
                                   ceilDiv(edge.bytes, array_bytes)});
-                reuse_edge[e] = r;
                 reuse_total += r;
                 pool[static_cast<std::size_t>(edge.from)] -= r;
                 pool[static_cast<std::size_t>(edge.to)] -= r;
@@ -339,7 +358,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
             Cycles l = cost_->opLatency(
                 *segment.ops[static_cast<std::size_t>(i)],
                 out->allocs[static_cast<std::size_t>(i)],
-                shares[static_cast<std::size_t>(i)]);
+                search.shares[static_cast<std::size_t>(i)]);
             worst = std::max(worst, l);
         }
         out->intraLatency = worst;
@@ -349,8 +368,7 @@ DualModeAllocator::tryTarget(const SegmentView &segment, Cycles t,
 
 SegmentAllocation
 DualModeAllocator::allocate(const SegmentView &segment,
-                            const AllocWarmHints *hints,
-                            LpWarmStart *basis_out) const
+                            Cycles hintTarget) const
 {
     obs::ScopedPhase phase(obs::Hist::kPhaseAllocate, "alloc.allocate",
                            "allocator");
@@ -369,22 +387,21 @@ DualModeAllocator::allocate(const SegmentView &segment,
     if (!options_.pipelined)
         return allocateSerial(segment);
 
+    Search search;
+    search.shares = CostModel::dmainShares(segment.ops);
+
     // Upper bound: minimal allocation (one weight copy, no memory).
-    std::vector<double> shares = CostModel::dmainShares(segment.ops);
     Cycles ub = 0;
     for (std::size_t i = 0; i < segment.ops.size(); ++i) {
         OpAllocation minimal;
         minimal.computeArrays = segment.ops[i]->weightTiles;
         ub = std::max(ub, cost_->opLatency(*segment.ops[i], minimal,
-                                           shares[i]));
+                                           search.shares[i]));
     }
     cmswitch_assert(ub < kInfCycles, "minimal allocation must be finite");
 
-    // Every bisection probe builds the same reuse MIP with different
-    // bounds; one warm-start slot carries the basis across all of them.
-    LpWarmStart warm;
     Cycles lo = 1, hi = ub;
-    cmswitch_assert(tryTarget(segment, ub, nullptr, &warm),
+    cmswitch_assert(tryTarget(segment, ub, nullptr, search),
                     "upper bound must be feasible");
 
     // Neighbor bracket hint: probe the neighbor segment's optimum (and
@@ -393,14 +410,12 @@ DualModeAllocator::allocate(const SegmentView &segment,
     // bracket. Feasibility is monotone in the target, so the loop below
     // converges to the same minimal feasible target either way — hints
     // change probe order, never the result. Reference mode stays cold.
-    if (hints != nullptr && hints->target >= 1 && !options_.referenceSearch) {
-        if (hints->basis != nullptr && hints->basis->rows > 0)
-            warm = *hints->basis;
-        Cycles guess = std::min(hints->target, ub);
-        if (tryTarget(segment, guess, nullptr, &warm)) {
+    if (hintTarget >= 1 && !options_.referenceSearch) {
+        Cycles guess = std::min(hintTarget, ub);
+        if (tryTarget(segment, guess, nullptr, search)) {
             hi = guess;
             if (guess > lo) {
-                if (tryTarget(segment, guess - 1, nullptr, &warm))
+                if (tryTarget(segment, guess - 1, nullptr, search))
                     hi = guess - 1;
                 else
                     lo = guess;
@@ -413,18 +428,13 @@ DualModeAllocator::allocate(const SegmentView &segment,
     while (lo < hi) {
         obs::count(obs::Met::kAllocBisectionIters);
         Cycles mid = lo + (hi - lo) / 2;
-        if (tryTarget(segment, mid, nullptr, &warm))
+        if (tryTarget(segment, mid, nullptr, search))
             hi = mid;
         else
             lo = mid + 1;
     }
-    bool ok = tryTarget(segment, hi, &result, &warm);
+    bool ok = tryTarget(segment, hi, &result, search);
     cmswitch_assert(ok, "bisection result must be feasible");
-    // The filling solve never updates the warm slot (cold pivot by
-    // design), so this is the last *probe* basis — the right seed for a
-    // neighbor compile's probes of a similar segment.
-    if (basis_out != nullptr)
-        *basis_out = warm;
     return result;
 }
 

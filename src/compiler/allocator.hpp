@@ -15,6 +15,15 @@
  * coupling left - maximising producer->consumer buffer reuse so the
  * segment fits the chip (Eqs. 6-8) - is an integer transportation
  * problem solved exactly with the bundled MIP solver.
+ *
+ * A probe's fit verdict is a pure function of the per-op needs vector,
+ * and the needs only step down as T grows. So the search remembers the
+ * needs of the bracket's two ends (the latest feasible and infeasible
+ * probes): a probe whose needs equal either end takes that end's
+ * verdict without the reuse bounds or the MIP. By monotonicity any
+ * probe repeating an earlier probe's needs repeats one of the two ends,
+ * so near convergence most midpoints are answered this way. Reference
+ * mode and the allocation-filling solve never take this shortcut.
  */
 
 #ifndef CMSWITCH_COMPILER_ALLOCATOR_HPP
@@ -24,7 +33,6 @@
 
 #include "compiler/partitioner.hpp"
 #include "cost/cost_model.hpp"
-#include "solver/simplex.hpp"
 
 namespace cmswitch {
 
@@ -57,35 +65,13 @@ struct AllocatorOptions
 
     /**
      * true: pre-optimization behaviour — every bisection probe runs
-     * the exact reuse solve (no conservative-bound shortcuts, no LP
-     * warm starts). Retained for the differential tests and the
+     * the exact reuse solve (no conservative-bound shortcuts, no
+     * bracket reuse, no neighbor hint). Retained for the differential tests and the
      * Fig. 18 reference measurements; Segmenter propagates its
      * SegmenterOptions::referenceSearch here. Allocation-filling
      * solves are identical in both modes by construction.
      */
     bool referenceSearch = false;
-};
-
-/**
- * Warm-start hints for one allocate() call, carried over from a
- * neighbor compile's allocation of a structurally similar segment
- * (compiler/warm_state.hpp). Hints steer the search only: the latency
- * bisection still converges to the same minimal feasible target
- * (feasibility is monotone in the target), probe LP warm bases never
- * reach the filling solve, and referenceSearch mode ignores hints
- * entirely — so the emitted allocation is byte-identical with or
- * without them (pinned by the incremental diff/fuzz battery).
- */
-struct AllocWarmHints
-{
-    /** Neighbor segment's optimal intra latency; probed first so a
-     *  nearby optimum collapses the bisection bracket immediately.
-     *  <= 0 disables the bracket probe. */
-    Cycles target = 0;
-
-    /** Neighbor's final probe basis; seeds probe LP warm starts.
-     *  Optional, not owned. */
-    const LpWarmStart *basis = nullptr;
 };
 
 /** Result of allocating one segment. */
@@ -108,22 +94,18 @@ class DualModeAllocator
   public:
     DualModeAllocator(const CostModel &cost, AllocatorOptions options);
 
-    /** Solve one segment; infeasible segments return
-     *  intraLatency == kInfCycles. */
-    SegmentAllocation allocate(const SegmentView &segment) const
-    {
-        return allocate(segment, nullptr, nullptr);
-    }
-
     /**
-     * allocate() with optional warm-start @p hints (see AllocWarmHints;
-     * may be null) and, when @p basis_out is non-null, the final probe
-     * basis exported for a future neighbor compile. Results are
-     * byte-identical to the hint-free call.
+     * Solve one segment; infeasible segments return intraLatency ==
+     * kInfCycles. @p hintTarget > 0 is a neighbor compile's optimal
+     * intra latency for a structurally similar segment
+     * (compiler/warm_state.hpp): it is probed first, so a nearby
+     * optimum collapses the bisection bracket at once. The hint only
+     * steers probe order (feasibility is monotone in the target, and
+     * referenceSearch ignores it), so the allocation is byte-identical
+     * with or without it (pinned by the incremental diff/fuzz battery).
      */
     SegmentAllocation allocate(const SegmentView &segment,
-                               const AllocWarmHints *hints,
-                               LpWarmStart *basis_out) const;
+                               Cycles hintTarget = 0) const;
 
     /**
      * Reference implementation: exhaustive search over duplication
@@ -142,16 +124,25 @@ class DualModeAllocator
         bool feasible = false;
         s64 computeArrays = 0;
         s64 memoryArrays = 0;
+
+        bool operator==(const Needs &) const = default;
     };
     Needs needsForTarget(const OpWorkload &w, Cycles t,
                         double dmain_share) const;
 
-    /** Check whether target @p t fits the chip; fills the allocation.
-     *  @p warm carries the reuse MIP's pivoting state across the
-     *  bisection's probes (stack-owned by allocate(), so the allocator
-     *  itself stays stateless and thread-safe). */
+    /** State shared by the probes of one allocate() call (stack-owned
+     *  there, so the allocator itself stays stateless and thread-safe). */
+    struct Search;
+
+    /** Check whether target @p t fits the chip; fills the allocation
+     *  when @p out is non-null. */
     bool tryTarget(const SegmentView &segment, Cycles t,
-                   SegmentAllocation *out, LpWarmStart *warm) const;
+                   SegmentAllocation *out, Search &search) const;
+
+    /** The packing half of tryTarget(): does the segment fit at the
+     *  needs in @p search (whose array total is @p total)? */
+    bool fitsChip(const SegmentView &segment, s64 total,
+                  SegmentAllocation *out, Search &search) const;
 
     /** Serial-schedule greedy refinement (PUMA-style compilers). */
     SegmentAllocation allocateSerial(const SegmentView &segment) const;

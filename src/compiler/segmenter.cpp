@@ -149,21 +149,14 @@ Segmenter::allocateCachedRef(const std::vector<ScheduledOp> &ops, s64 lo,
             ++warmStats_.importedSigHits;
     } else {
         ++cacheMisses_;
-        AllocWarmHints hints;
-        const AllocWarmHints *hints_ptr = nullptr;
-        if (warmHintFor(lo, hi, &hints)) {
-            hints_ptr = &hints;
+        const Cycles hint = warmHintFor(lo, hi);
+        if (hint > 0)
             ++warmStats_.bracketHints;
-        }
-        LpWarmStart basis;
         it = cache_
                  .emplace(sigScratch_,
                           allocator_.allocate(makeSegmentView(ops, lo, hi),
-                                              hints_ptr,
-                                              retain_ ? &basis : nullptr))
+                                              hint))
                  .first;
-        if (retain_)
-            basisOf_.emplace(&it->second, std::move(basis));
     }
     cacheRange(range_key, &it->second);
     return it->second;
@@ -506,8 +499,6 @@ Segmenter::run(const std::vector<ScheduledOp> &ops)
                 if (inserted) {
                     ++warmStats_.sigImports;
                     importedPtrs_.insert(&slot->second);
-                    if (nb.bases[a].rows > 0)
-                        basisOf_.emplace(&slot->second, nb.bases[a]);
                 }
             }
             warmNeighborRanges_.reserve(nb.ranges.size());
@@ -986,11 +977,11 @@ Segmenter::warmPositionalLookup(s64 lo, s64 hi, s64 n)
     return nullptr;
 }
 
-bool
-Segmenter::warmHintFor(s64 lo, s64 hi, AllocWarmHints *hints) const
+Cycles
+Segmenter::warmHintFor(s64 lo, s64 hi) const
 {
     if (warmIn_ == nullptr || warmNeighborRanges_.empty())
-        return false;
+        return 0;
     // A genuine miss is a range the neighbor never priced as-is (it
     // crosses a changed window, say) — but whichever window the
     // neighbor *did* price at the same position is usually near the
@@ -1018,12 +1009,9 @@ Segmenter::warmHintFor(s64 lo, s64 hi, AllocWarmHints *hints) const
         const auto a = static_cast<std::size_t>(it->second);
         if (!warmIn_->allocs[a].feasible())
             continue;
-        hints->target = warmIn_->allocs[a].intraLatency;
-        hints->basis = warmIn_->bases[a].rows > 0 ? &warmIn_->bases[a]
-                                                  : nullptr;
-        return true;
+        return warmIn_->allocs[a].intraLatency;
     }
-    return false;
+    return 0;
 }
 
 void
@@ -1069,7 +1057,6 @@ Segmenter::exportWarmState() const
     }
     state->sigs.reserve(index.size());
     state->allocs.reserve(index.size());
-    state->bases.reserve(index.size());
     for (const auto &entry : cache_) {
         auto it = index.find(&entry.second);
         if (it == index.end())
@@ -1077,9 +1064,6 @@ Segmenter::exportWarmState() const
         it->second = static_cast<s64>(state->sigs.size());
         state->sigs.push_back(entry.first);
         state->allocs.push_back(entry.second);
-        auto bit = basisOf_.find(&entry.second);
-        state->bases.push_back(bit != basisOf_.end() ? bit->second
-                                                     : LpWarmStart{});
     }
 
     // Positional bindings.

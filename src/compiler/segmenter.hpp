@@ -125,7 +125,7 @@ class Segmenter
      * neighbor's allocations positionally (no signature build), its
      * signature pool seeds the cross-run cache, fully-equal DP prefix
      * boundaries import verbatim, and near-miss ranges seed the
-     * allocator's bisection bracket and probe LP basis. Every import is
+     * allocator's bisection bracket. Every import is
      * byte-identity preserving (see warm_state.hpp); referenceSearch
      * runs ignore warm state entirely.
      *
@@ -235,9 +235,10 @@ class Segmenter
      *  Counts warmStats_.rangeImports on success. */
     const SegmentAllocation *warmPositionalLookup(s64 lo, s64 hi, s64 n);
 
-    /** Bracket/basis hints for a cache-missing range, from whichever
-     *  positional window the neighbor priced (identity or shifted). */
-    bool warmHintFor(s64 lo, s64 hi, AllocWarmHints *hints) const;
+    /** Bracket hint (the neighbor's optimal intra latency, 0 if none)
+     *  for a cache-missing range, from whichever positional window the
+     *  neighbor priced (identity or shifted). */
+    Cycles warmHintFor(s64 lo, s64 hi) const;
 
     /** rangeCache_.insert plus the retention log (export needs the
      *  positional bindings; FlatRangeMap is not iterable). */
@@ -275,8 +276,6 @@ class Segmenter
     std::unordered_map<s64, s64> warmNeighborRanges_;
     /** cache_ entries seeded from the neighbor (importedSigHits). */
     std::unordered_set<const SegmentAllocation *> importedPtrs_;
-    /** Final probe basis per cache_ entry (retention + carry-forward). */
-    std::unordered_map<const SegmentAllocation *, LpWarmStart> basisOf_;
     /** (range key, allocation) pairs priced this run, in touch order. */
     std::vector<std::pair<s64, const SegmentAllocation *>> rangeLog_;
     /** Retained DP rows of the last runDp() (setRetain only). */

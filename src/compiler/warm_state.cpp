@@ -125,12 +125,6 @@ CompilerWarmState::writeBinary(BinaryWriter &w) const
         w.writeS64(alloc.plan.memoryArrays);
         w.writeS64(alloc.reusedArrays);
         w.writeS64(alloc.intraLatency);
-        const LpWarmStart &basis = bases[a];
-        w.writeS64(basis.rows);
-        w.writeS64(basis.cols);
-        w.writeS64(static_cast<s64>(basis.basis.size()));
-        for (int b : basis.basis)
-            w.writeS64(b);
     }
     w.writeS64(static_cast<s64>(ranges.size()));
     for (const WarmRangeBinding &r : ranges) {
@@ -182,7 +176,6 @@ CompilerWarmState::readBinary(BinaryReader &r)
     s64 n_allocs = r.readBounded(kMaxCount, "warm allocation count");
     state.sigs.reserve(static_cast<std::size_t>(n_allocs));
     state.allocs.reserve(static_cast<std::size_t>(n_allocs));
-    state.bases.reserve(static_cast<std::size_t>(n_allocs));
     for (s64 a = 0; a < n_allocs; ++a) {
         state.sigs.push_back(r.readString());
         SegmentAllocation alloc;
@@ -195,16 +188,6 @@ CompilerWarmState::readBinary(BinaryReader &r)
         alloc.reusedArrays = r.readS64();
         alloc.intraLatency = r.readS64();
         state.allocs.push_back(std::move(alloc));
-        LpWarmStart basis;
-        basis.rows = static_cast<int>(
-            r.readBounded(kMaxCount, "warm basis rows"));
-        basis.cols = static_cast<int>(
-            r.readBounded(kMaxCount, "warm basis cols"));
-        s64 n_basis = r.readBounded(kMaxCount, "warm basis count");
-        basis.basis.reserve(static_cast<std::size_t>(n_basis));
-        for (s64 b = 0; b < n_basis; ++b)
-            basis.basis.push_back(static_cast<int>(r.readS64()));
-        state.bases.push_back(std::move(basis));
     }
     s64 n_ranges = r.readBounded(kMaxCount, "warm range count");
     state.ranges.reserve(static_cast<std::size_t>(n_ranges));
@@ -276,24 +259,29 @@ warmAlign(const std::vector<WarmOpMeta> &cur,
     // positions by (hash, position) and give each current position the
     // slice of its own hash: the resync then tries hash-equal pairs
     // only, and a batch change that aligns nothing costs next to
-    // nothing.
+    // nothing. The index is built at the first mismatch, so a pair
+    // that lines up everywhere never pays for it.
     using Entry = std::pair<u64, s64>;
     using It = std::vector<Entry>::const_iterator;
     std::vector<Entry> by_hash;
-    by_hash.reserve(static_cast<std::size_t>(m));
-    for (s64 y = 0; y < m; ++y)
-        by_hash.emplace_back(hb[static_cast<std::size_t>(y)], y);
-    std::sort(by_hash.begin(), by_hash.end());
-    std::vector<std::pair<It, It>> slice_of(static_cast<std::size_t>(n));
-    for (s64 x = 0; x < n; ++x) {
-        const u64 h = ha[static_cast<std::size_t>(x)];
-        It first = std::lower_bound(
-            by_hash.cbegin(), by_hash.cend(),
-            Entry(h, std::numeric_limits<s64>::min()));
-        It last = std::upper_bound(first, by_hash.cend(),
-                                   Entry(h, std::numeric_limits<s64>::max()));
-        slice_of[static_cast<std::size_t>(x)] = {first, last};
-    }
+    std::vector<std::pair<It, It>> slice_of;
+    auto build_index = [&]() {
+        by_hash.reserve(static_cast<std::size_t>(m));
+        for (s64 y = 0; y < m; ++y)
+            by_hash.emplace_back(hb[static_cast<std::size_t>(y)], y);
+        std::sort(by_hash.begin(), by_hash.end());
+        slice_of.resize(static_cast<std::size_t>(n));
+        for (s64 x = 0; x < n; ++x) {
+            const u64 h = ha[static_cast<std::size_t>(x)];
+            It first = std::lower_bound(
+                by_hash.cbegin(), by_hash.cend(),
+                Entry(h, std::numeric_limits<s64>::min()));
+            It last = std::upper_bound(
+                first, by_hash.cend(),
+                Entry(h, std::numeric_limits<s64>::max()));
+            slice_of[static_cast<std::size_t>(x)] = {first, last};
+        }
+    };
 
     s64 i = 0;
     s64 j = 0;
@@ -305,6 +293,8 @@ warmAlign(const std::vector<WarmOpMeta> &cur,
             ++j;
             continue;
         }
+        if (slice_of.empty())
+            build_index();
         // Resync order: smallest t = di + dj (1 <= t <= kMaxSkew), then
         // smallest di. Walking di upward, each di's first run-starting
         // candidate is its smallest t; a later di wins only with a

@@ -16,8 +16,8 @@
  *  - the DP rows of every boundary, importable verbatim for the
  *    structurally-identical prefix;
  *  - the signature-keyed segment allocations with their positional
- *    range bindings and final LP probe bases, importable wherever the
- *    neighbor priced the same segment shape.
+ *    range bindings, importable wherever the neighbor priced the same
+ *    segment shape.
  *
  * Soundness contract (pinned by tests/incremental_diff_test.cpp and
  * the IncrementalDiffFuzz battery): every import below reproduces
@@ -35,10 +35,10 @@
  *    maxEdgeBytes) and the Eq. 2 rewrite grouping (groupId). Rows are
  *    imported only up to warmDpSafePrefix, which requires full
  *    per-position equality of all of it.
- *  - Bracket/basis hints steer the allocator's probe order only; the
+ *  - Bracket hints steer the allocator's probe order only; the
  *    bisection still converges to the same minimal feasible target
- *    (feasibility is monotone in the target) and filling solves stay
- *    cold-pivot, so emitted allocations are unchanged.
+ *    (feasibility is monotone in the target), so emitted allocations
+ *    are unchanged.
  *
  * State is only meaningful between compiles of the same configuration
  * (chip + compiler options + build); the service layer keys warm-state
@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "compiler/allocator.hpp"
-#include "solver/simplex.hpp"
 
 namespace cmswitch {
 
@@ -178,7 +177,6 @@ struct CompilerWarmState
     /** @{ Signature-keyed allocation pool (parallel vectors). */
     std::vector<std::string> sigs;
     std::vector<SegmentAllocation> allocs;
-    std::vector<LpWarmStart> bases; ///< final probe basis per allocation
     /** @} */
 
     /** Ranges the producing run priced, bound to pool entries. */

@@ -294,6 +294,7 @@ metName(Met m)
 {
     switch (m) {
     case Met::kAllocBisectionIters: return "alloc.bisection_iters";
+    case Met::kAllocProbeBracketHits: return "alloc.probe_bracket_hits";
     case Met::kAllocProbeShortcuts: return "alloc.probe_shortcuts";
     case Met::kAllocProbes: return "alloc.probes";
     case Met::kAllocRuns: return "alloc.runs";

@@ -155,6 +155,7 @@ class LogHistogram
  *  name order like the gauges and histograms below. */
 enum class Met : u32 {
     kAllocBisectionIters,
+    kAllocProbeBracketHits,
     kAllocProbeShortcuts,
     kAllocProbes,
     kAllocRuns,
@@ -175,8 +176,8 @@ enum class Met : u32 {
     kIncrementalSigImports,
     kIncrementalWarmFilesRead,
     kLpSolves,
-    kLpWarmHits,
-    kLpWarmMisses,
+    kLpWarmHits,   ///< always 0: the simplex has no warm starts; kept
+    kLpWarmMisses, ///< for the perfbench trace schema, which reads both
     kMipNodes,
     kMipSolves,
     kPlanCacheEvictions,

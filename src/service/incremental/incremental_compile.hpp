@@ -7,7 +7,7 @@
  * (memory -> disk -> *neighbor* -> cold): when both caches miss, the
  * request's structural digest selects the best retained neighbor state
  * and the compiler warm-starts from it — importing segmenter DP rows,
- * positional allocations, bisection brackets and LP bases, and
+ * positional allocations and bisection brackets, and
  * re-searching only the changed window. The compile's own search state
  * is retained back into the store for the next neighbor.
  *

@@ -47,7 +47,7 @@ namespace cmswitch {
 
 /** Envelope tag of `.warm` sidecar files (versioned: readers reject
  *  other tags and the compile falls back to cold). */
-inline constexpr std::string_view kWarmStateTag = "cmswitch-warm-state-v1\n";
+inline constexpr std::string_view kWarmStateTag = "cmswitch-warm-state-v2\n";
 
 /** Retained states kept per family in memory: a decode sweep needs its
  *  few most recent KV buckets, not an unbounded history. */

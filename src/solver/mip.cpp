@@ -68,19 +68,13 @@ solveMipImpl(const LinearModel &model, const MipOptions &options)
 {
     const double dir = model.sense() == Sense::kMinimize ? 1.0 : -1.0;
 
-    // Every node relaxation differs from its neighbours only in
-    // variable bounds, so when the caller opts in (provides a slot),
-    // one warm-start basis is threaded through the whole tree and
-    // across calls. Without a slot every LP pivots cold — callers that
-    // need the historical pivot path bit-for-bit (the allocator's
-    // allocation-filling solves) rely on that.
-    LpWarmStart *warm = options.warmStart;
-
     MipResult result;
     result.status = SolveStatus::kInfeasible;
 
-    // Root relaxation.
-    LpSolution root = solveLp(model, warm);
+    // Root relaxation. It is the root node of the tree: it either
+    // yields the incumbent outright or branches into the first two
+    // children, and is never queued and solved a second time.
+    LpSolution root = solveLp(model);
     ++result.nodesExplored;
     if (root.status == SolveStatus::kInfeasible
         || root.status == SolveStatus::kLimit) {
@@ -92,9 +86,52 @@ solveMipImpl(const LinearModel &model, const MipOptions &options)
                     "unbounded MIPs are not supported");
 
     OpenQueue open;
-    open.push(Node{dir * root.objective, {}});
     bool have_incumbent = false;
     double incumbent_obj = 0.0; // minimisation direction
+
+    // Take a node's optimal relaxation: prune it against the incumbent,
+    // record it as the new incumbent if integral, else branch on its
+    // most fractional variable.
+    auto settle = [&](const Node &node, const LpSolution &lp) {
+        double lp_obj = dir * lp.objective;
+        if (have_incumbent && lp_obj >= incumbent_obj - options.gapAbs)
+            return;
+
+        VarId branch = pickBranchVar(model, lp.values, options.intTol);
+        if (branch < 0) {
+            // Integral: new incumbent.
+            have_incumbent = true;
+            incumbent_obj = lp_obj;
+            result.status = SolveStatus::kOptimal;
+            result.objective = lp.objective;
+            result.values = lp.values;
+            // Snap near-integers exactly.
+            for (VarId v = 0; v < model.numVars(); ++v) {
+                if (model.var(v).type == VarType::kInteger) {
+                    result.values[static_cast<std::size_t>(v)] =
+                        std::round(result.values[static_cast<std::size_t>(v)]);
+                }
+            }
+            return;
+        }
+
+        double x = lp.values[static_cast<std::size_t>(branch)];
+        Node down = node;
+        down.bound = lp_obj;
+        down.tightened.push_back(
+            {branch, {-kInfinity, std::floor(x)}});
+        Node up = node;
+        up.bound = lp_obj;
+        up.tightened.push_back(
+            {branch, {std::ceil(x), kInfinity}});
+        open.push(std::move(down));
+        open.push(std::move(up));
+    };
+
+    if (root.status == SolveStatus::kOptimal)
+        settle(Node{}, root);
+    if (open.empty())
+        return result; // decided at the root: no bound changes to apply
 
     // One scratch model reused across nodes: a node's bound overrides
     // are applied before its relaxation and rolled back afterwards,
@@ -118,7 +155,7 @@ solveMipImpl(const LinearModel &model, const MipOptions &options)
             def.lower = std::max(def.lower, bounds.first);
             def.upper = std::min(def.upper, bounds.second);
         }
-        LpSolution lp = solveLp(scratch, warm);
+        LpSolution lp = solveLp(scratch);
         // Roll back in reverse so repeated overrides of one variable
         // restore its original bounds exactly.
         for (std::size_t b = saved_bounds.size(); b-- > 0;) {
@@ -127,42 +164,8 @@ solveMipImpl(const LinearModel &model, const MipOptions &options)
             def.upper = saved_bounds[b].second.second;
         }
         ++result.nodesExplored;
-        if (lp.status != SolveStatus::kOptimal)
-            continue; // infeasible subtree
-
-        double lp_obj = dir * lp.objective;
-        if (lp_obj >= best_known - options.gapAbs)
-            continue;
-
-        VarId branch = pickBranchVar(scratch, lp.values, options.intTol);
-        if (branch < 0) {
-            // Integral: new incumbent.
-            have_incumbent = true;
-            incumbent_obj = lp_obj;
-            result.status = SolveStatus::kOptimal;
-            result.objective = lp.objective;
-            result.values = lp.values;
-            // Snap near-integers exactly.
-            for (VarId v = 0; v < model.numVars(); ++v) {
-                if (model.var(v).type == VarType::kInteger) {
-                    result.values[static_cast<std::size_t>(v)] =
-                        std::round(result.values[static_cast<std::size_t>(v)]);
-                }
-            }
-            continue;
-        }
-
-        double x = lp.values[static_cast<std::size_t>(branch)];
-        Node down = node;
-        down.bound = lp_obj;
-        down.tightened.push_back(
-            {branch, {-kInfinity, std::floor(x)}});
-        Node up = node;
-        up.bound = lp_obj;
-        up.tightened.push_back(
-            {branch, {std::ceil(x), kInfinity}});
-        open.push(std::move(down));
-        open.push(std::move(up));
+        if (lp.status == SolveStatus::kOptimal)
+            settle(node, lp); // otherwise an infeasible subtree
     }
     if (!open.empty() && !have_incumbent)
         result.status = SolveStatus::kLimit;

@@ -20,16 +20,6 @@ struct MipOptions
     s64 maxNodes = 200000;   ///< node budget before giving up (kLimit)
     double intTol = 1e-6;    ///< integrality tolerance
     double gapAbs = 1e-9;    ///< prune when bound >= incumbent - gapAbs
-
-    /**
-     * Optional cross-call pivoting state. Node relaxations within one
-     * solveMip() always warm-start off each other; a caller solving a
-     * run of structurally identical models (the allocator's latency
-     * bisection) can pass the same LpWarmStart to every call so the
-     * first relaxation of each solve starts from the previous solve's
-     * optimal basis too. Owned by the caller; must outlive the call.
-     */
-    LpWarmStart *warmStart = nullptr;
 };
 
 /** Outcome of a MIP solve. */
@@ -45,6 +35,11 @@ struct MipResult
  * Solve @p model to optimality (best-first branch-and-bound, branching
  * on the most fractional integer variable). Continuous variables are
  * allowed and keep their LP values.
+ *
+ * The root relaxation is the root node: an integral root is the answer
+ * (one node, one LP solve), and a fractional one branches directly, so
+ * no relaxation is solved twice. The model is copied into a bound-
+ * override scratch only when the root branches.
  */
 MipResult solveMip(const LinearModel &model, const MipOptions &options = {});
 

@@ -118,7 +118,7 @@ solveStatusName(SolveStatus status)
 }
 
 LpSolution
-solveLp(const LinearModel &model, LpWarmStart *warm)
+solveLp(const LinearModel &model)
 {
     obs::count(obs::Met::kLpSolves);
     const s64 n = model.numVars();
@@ -185,104 +185,45 @@ solveLp(const LinearModel &model, LpWarmStart *warm)
     Tableau t;
     std::vector<int> artificials;
 
-    // (Re)fill the tableau from the normalised rows: slack basis for
-    // <= rows, artificial basis for >= and == rows. Callable twice —
-    // a failed warm-basis load rebuilds the cold tableau this way
-    // instead of keeping a defensive copy around on every solve.
-    auto build_tableau = [&]() {
-        t.numCols = total_cols;
-        t.a.assign(static_cast<std::size_t>(m),
-                   std::vector<double>(
-                       static_cast<std::size_t>(total_cols) + 1, 0.0));
-        t.basis.assign(static_cast<std::size_t>(m), -1);
-        artificials.clear();
-        int slack_cursor = static_cast<int>(n);
-        int art_cursor = static_cast<int>(n) + num_slack;
-        for (int r = 0; r < m; ++r) {
-            Row &row = raw_rows[static_cast<std::size_t>(r)];
-            auto &trow = t.a[static_cast<std::size_t>(r)];
-            for (s64 c = 0; c < n; ++c)
-                trow[static_cast<std::size_t>(c)] =
-                    row.coef[static_cast<std::size_t>(c)];
-            trow.back() = row.rhs;
-            if (row.rel == Rel::kLe) {
-                trow[static_cast<std::size_t>(slack_cursor)] = 1.0;
-                t.basis[static_cast<std::size_t>(r)] = slack_cursor;
-                ++slack_cursor;
-            } else if (row.rel == Rel::kGe) {
-                trow[static_cast<std::size_t>(slack_cursor)] = -1.0;
-                ++slack_cursor;
-                trow[static_cast<std::size_t>(art_cursor)] = 1.0;
-                t.basis[static_cast<std::size_t>(r)] = art_cursor;
-                artificials.push_back(art_cursor);
-                ++art_cursor;
-            } else {
-                trow[static_cast<std::size_t>(art_cursor)] = 1.0;
-                t.basis[static_cast<std::size_t>(r)] = art_cursor;
-                artificials.push_back(art_cursor);
-                ++art_cursor;
-            }
-        }
-    };
-    build_tableau();
-
-    // Warm start: try to jump straight onto the caller's previous
-    // optimal basis. The loaded basis must reproduce exactly (every row
-    // pivoted onto its recorded column) and be primal feasible; any
-    // shortfall restores the cold tableau. A successful load proves
-    // feasibility constructively, so phase 1 is skipped entirely.
-    bool warm_loaded = false;
-    if (warm != nullptr && warm->compatible(m, total_cols)) {
-        bool candidate = true;
-        for (int b : warm->basis) {
-            if (b < 0 || b >= static_cast<int>(n) + num_slack) {
-                candidate = false; // artificial or malformed entry
-                break;
-            }
-        }
-        if (candidate) {
-            t.obj.assign(static_cast<std::size_t>(total_cols) + 1, 0.0);
-            t.objValue = 0.0;
-            constexpr double kPivotTol = 1e-7;
-            for (int r = 0; r < m; ++r) {
-                int target = warm->basis[static_cast<std::size_t>(r)];
-                if (t.basis[static_cast<std::size_t>(r)] == target)
-                    continue;
-                double coef = t.a[static_cast<std::size_t>(r)]
-                               [static_cast<std::size_t>(target)];
-                if (std::abs(coef) > kPivotTol)
-                    t.pivot(r, target);
-            }
-            warm_loaded = true;
-            for (int r = 0; r < m; ++r) {
-                if (t.basis[static_cast<std::size_t>(r)]
-                        != warm->basis[static_cast<std::size_t>(r)]
-                    || t.rhs(r) < -kEps) {
-                    warm_loaded = false;
-                    break;
-                }
-            }
-            if (warm_loaded) {
-                // Clamp eps-negative right-hand sides so the ratio
-                // test's rhs >= 0 invariant holds exactly.
-                for (int r = 0; r < m; ++r) {
-                    auto &row = t.a[static_cast<std::size_t>(r)];
-                    if (row.back() < 0.0)
-                        row.back() = 0.0;
-                }
-            } else {
-                build_tableau();
-            }
+    // Fill the tableau from the normalised rows: slack basis for <=
+    // rows, artificial basis for >= and == rows.
+    t.numCols = total_cols;
+    t.a.assign(static_cast<std::size_t>(m),
+               std::vector<double>(static_cast<std::size_t>(total_cols) + 1,
+                                   0.0));
+    t.basis.assign(static_cast<std::size_t>(m), -1);
+    int slack_cursor = static_cast<int>(n);
+    int art_cursor = static_cast<int>(n) + num_slack;
+    for (int r = 0; r < m; ++r) {
+        Row &row = raw_rows[static_cast<std::size_t>(r)];
+        auto &trow = t.a[static_cast<std::size_t>(r)];
+        for (s64 c = 0; c < n; ++c)
+            trow[static_cast<std::size_t>(c)] =
+                row.coef[static_cast<std::size_t>(c)];
+        trow.back() = row.rhs;
+        if (row.rel == Rel::kLe) {
+            trow[static_cast<std::size_t>(slack_cursor)] = 1.0;
+            t.basis[static_cast<std::size_t>(r)] = slack_cursor;
+            ++slack_cursor;
+        } else if (row.rel == Rel::kGe) {
+            trow[static_cast<std::size_t>(slack_cursor)] = -1.0;
+            ++slack_cursor;
+            trow[static_cast<std::size_t>(art_cursor)] = 1.0;
+            t.basis[static_cast<std::size_t>(r)] = art_cursor;
+            artificials.push_back(art_cursor);
+            ++art_cursor;
+        } else {
+            trow[static_cast<std::size_t>(art_cursor)] = 1.0;
+            t.basis[static_cast<std::size_t>(r)] = art_cursor;
+            artificials.push_back(art_cursor);
+            ++art_cursor;
         }
     }
-    if (warm != nullptr && warm->compatible(m, total_cols))
-        obs::count(warm_loaded ? obs::Met::kLpWarmHits
-                               : obs::Met::kLpWarmMisses);
 
     // Phase 1: minimise the sum of artificials.
     t.obj.assign(static_cast<std::size_t>(total_cols) + 1, 0.0);
     t.objValue = 0.0;
-    if (!artificials.empty() && !warm_loaded) {
+    if (!artificials.empty()) {
         for (int c : artificials)
             t.obj[static_cast<std::size_t>(c)] = 1.0;
         // Price out the basic artificials.
@@ -349,12 +290,6 @@ solveLp(const LinearModel &model, LpWarmStart *warm)
         return LpSolution{SolveStatus::kUnbounded, 0.0, {}};
     if (st == SolveStatus::kLimit)
         return LpSolution{SolveStatus::kLimit, 0.0, {}};
-
-    if (warm != nullptr) {
-        warm->basis = t.basis;
-        warm->rows = m;
-        warm->cols = total_cols;
-    }
 
     // Extract: basic variables take their rhs, others sit at 0 (then
     // unshift to the original space).

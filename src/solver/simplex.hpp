@@ -28,41 +28,10 @@ struct LpSolution
 };
 
 /**
- * Reusable pivoting state across near-identical LP solves.
- *
- * The branch-and-bound MIP and the allocator's latency bisection solve
- * long runs of LPs that differ only in variable bounds; the optimal
- * basis of one solve is usually feasible (often near-optimal) for the
- * next. solveLp() records its final basis here and, on the next call
- * with matching dimensions, tries to load it directly: when the loaded
- * basis is primal feasible, the whole phase-1 artificial elimination is
- * skipped. Loading is best-effort — any incompatibility (dimension
- * change, singular pivot, infeasible point) silently falls back to the
- * cold two-phase path, so a warm start can change which optimal vertex
- * ties are resolved to, but never correctness. Deterministic: the same
- * call sequence always produces the same solutions.
- */
-struct LpWarmStart
-{
-    std::vector<int> basis; ///< basic column per row of the last solve
-    int rows = 0;
-    int cols = 0;
-
-    bool
-    compatible(int num_rows, int num_cols) const
-    {
-        return rows == num_rows && cols == num_cols
-            && static_cast<int>(basis.size()) == num_rows;
-    }
-};
-
-/**
  * Solve the continuous relaxation of @p model (integrality ignored).
- * Honors variable bounds and all constraint senses. @p warm, when
- * non-null, seeds the solve with the previous optimal basis and is
- * updated with this solve's basis on optimality.
+ * Honors variable bounds and all constraint senses.
  */
-LpSolution solveLp(const LinearModel &model, LpWarmStart *warm = nullptr);
+LpSolution solveLp(const LinearModel &model);
 
 } // namespace cmswitch
 

@@ -15,8 +15,10 @@ void
 appendLe(std::string *out, T value)
 {
     static_assert(sizeof(T) == Bytes);
+    char bytes[Bytes];
     for (std::size_t i = 0; i < Bytes; ++i)
-        out->push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+        bytes[i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    out->append(bytes, Bytes);
 }
 
 template <std::size_t Bytes, typename T>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "compiler/allocator.hpp"
+#include "obs/obs.hpp"
 #include "test_util.hpp"
 
 namespace cmswitch {
@@ -169,6 +170,59 @@ TEST_P(AllocatorVsExhaustive, SameOptimalLatency)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorVsExhaustive,
                          ::testing::Range(0, 20));
+
+/**
+ * Probes answered from the bisection bracket (needs equal to a known
+ * end's) change no result: over random reuse-coupled segments the fast
+ * search equals the reference search, which runs every probe's exact
+ * solve, field for field.
+ */
+TEST(Allocator, BracketReuseMatchesReferenceSearch)
+{
+    obs::MetricsRegistry fast_metrics;
+    obs::MetricsRegistry slow_metrics;
+    auto allocate_into = [](obs::MetricsRegistry &registry,
+                            const DualModeAllocator &alloc,
+                            const SegmentView &v) {
+        obs::install(&registry, nullptr);
+        SegmentAllocation a = alloc.allocate(v);
+        obs::uninstall();
+        return a;
+    };
+    Rng rng(2024);
+    for (int trial = 0; trial < 300; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        Deha deha(testing::tinyChip(rng.nextInt(6, 24)));
+        CostModel cost(deha);
+        AllocatorOptions reference;
+        reference.referenceSearch = true;
+        DualModeAllocator fast(cost, AllocatorOptions{});
+        DualModeAllocator slow(cost, reference);
+
+        std::vector<OpWorkload> ws;
+        const s64 n = rng.nextInt(2, 4);
+        for (s64 i = 0; i < n; ++i)
+            ws.push_back(testing::randomWorkload(rng, deha.config(), 2));
+        std::vector<SegmentView::Edge> edges;
+        for (s64 to = 1; to < n; ++to) {
+            for (s64 from = 0; from < to; ++from) {
+                if (from + 1 == to || rng.nextInt(0, 2) == 0)
+                    edges.push_back(
+                        SegmentView::Edge{from, to, rng.nextInt(64, 4096)});
+            }
+        }
+        SegmentView v = viewOf(ws, edges);
+        testing::expectSameAllocation(allocate_into(fast_metrics, fast, v),
+                             allocate_into(slow_metrics, slow, v));
+    }
+    EXPECT_GT(fast_metrics.counter(obs::Met::kAllocProbeBracketHits).get(),
+              0);
+    // The reference search is the oracle: it runs every probe's exact
+    // solve and takes neither the bracket nor the reuse bounds.
+    EXPECT_EQ(slow_metrics.counter(obs::Met::kAllocProbeBracketHits).get(),
+              0);
+    EXPECT_EQ(slow_metrics.counter(obs::Met::kAllocProbeShortcuts).get(), 0);
+}
 
 TEST(AllocatorSerial, GreedyImprovesOnMinimal)
 {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "obs/obs.hpp"
 #include "solver/mip.hpp"
 #include "support/random.hpp"
 
@@ -95,6 +96,85 @@ TEST(Mip, TransportationIsIntegral)
     MipResult r = solveMip(m);
     ASSERT_EQ(r.status, SolveStatus::kOptimal);
     EXPECT_NEAR(r.objective, 7.0, 1e-6); // min(supply 7, demand 8)
+}
+
+/** solveMip() with a metrics registry installed; returns lp.solves. */
+s64
+solveCountingLps(const LinearModel &m, MipResult *result)
+{
+    obs::MetricsRegistry registry;
+    obs::install(&registry, nullptr);
+    *result = solveMip(m);
+    obs::uninstall();
+    return registry.counter(obs::Met::kLpSolves).get();
+}
+
+TEST(Mip, IntegralRootIsOneNodeAndOneLpSolve)
+{
+    // max x + y s.t. x + y <= 7, x <= 3: the root vertex (3, 4) is
+    // integral, so the root relaxation is the whole search.
+    LinearModel m;
+    VarId x = m.addVar("x", 0, 100, VarType::kInteger);
+    VarId y = m.addVar("y", 0, 100, VarType::kInteger);
+    LinearExpr both;
+    both.add(x, 1.0).add(y, 1.0);
+    m.addConstraint(both, Rel::kLe, 7);
+    m.addConstraint(term(x), Rel::kLe, 3);
+    m.setObjective(both, Sense::kMaximize);
+
+    MipResult r;
+    EXPECT_EQ(solveCountingLps(m, &r), 1);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal);
+    EXPECT_EQ(r.nodesExplored, 1);
+    EXPECT_EQ(r.objective, 7.0);
+    EXPECT_EQ(r.values, (std::vector<double>{3.0, 4.0}));
+}
+
+TEST(Mip, BranchingTreeStartsAtTheRootsChildren)
+{
+    // Pinned against the solver that re-solved the root as a queued
+    // node: same objective and values, one node (and LP solve) fewer.
+    LinearModel knap;
+    VarId a = knap.addVar("a", 0, 1, VarType::kInteger);
+    VarId b = knap.addVar("b", 0, 1, VarType::kInteger);
+    VarId c = knap.addVar("c", 0, 1, VarType::kInteger);
+    LinearExpr cap;
+    cap.add(a, 10).add(b, 20).add(c, 30);
+    knap.addConstraint(cap, Rel::kLe, 50);
+    LinearExpr value;
+    value.add(a, 60).add(b, 100).add(c, 120);
+    knap.setObjective(value, Sense::kMaximize);
+
+    MipResult r;
+    EXPECT_EQ(solveCountingLps(knap, &r), 5);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal);
+    EXPECT_EQ(r.nodesExplored, 5);
+    EXPECT_EQ(r.objective, 220.0);
+    EXPECT_EQ(r.values, (std::vector<double>{0.0, 1.0, 1.0}));
+
+    // Mixed integer/continuous: the continuous w keeps its LP value.
+    LinearModel mixed;
+    VarId x = mixed.addVar("x", 0, kInfinity, VarType::kInteger);
+    VarId y = mixed.addVar("y", 0, kInfinity, VarType::kInteger);
+    VarId w = mixed.addVar("w", 0, 10);
+    LinearExpr c1, c2, c3, obj;
+    c1.add(x, 7).add(y, -2).add(w, 1);
+    c2.add(y, 1).add(w, 0.5);
+    c3.add(x, 2).add(y, -2);
+    mixed.addConstraint(c1, Rel::kLe, 14);
+    mixed.addConstraint(c2, Rel::kLe, 3.3);
+    mixed.addConstraint(c3, Rel::kLe, 3);
+    obj.add(x, 4).add(y, -1).add(w, 0.25);
+    mixed.setObjective(obj, Sense::kMaximize);
+
+    EXPECT_EQ(solveCountingLps(mixed, &r), 7);
+    ASSERT_EQ(r.status, SolveStatus::kOptimal);
+    EXPECT_EQ(r.nodesExplored, 7);
+    EXPECT_DOUBLE_EQ(r.objective, 7.5);
+    ASSERT_EQ(r.values.size(), 3u);
+    EXPECT_EQ(r.values[0], 2.0);
+    EXPECT_EQ(r.values[1], 1.0);
+    EXPECT_DOUBLE_EQ(r.values[2], 2.0);
 }
 
 /**

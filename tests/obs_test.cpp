@@ -425,6 +425,7 @@ TEST(MetricsRegistry, SnapshotKeysArePinnedAndSorted)
     MetricsRegistry registry;
     const std::vector<std::string> counters = {
         "alloc.bisection_iters",
+        "alloc.probe_bracket_hits",
         "alloc.probe_shortcuts",
         "alloc.probes",
         "alloc.runs",

@@ -44,25 +44,6 @@ randomScheduledOps(Rng &rng, const ChipConfig &chip, s64 n)
     return ops;
 }
 
-void
-expectSameAllocation(const SegmentAllocation &cached,
-                     const SegmentAllocation &fresh, s64 lo, s64 hi)
-{
-    EXPECT_EQ(cached.intraLatency, fresh.intraLatency)
-        << "range [" << lo << ", " << hi << ")";
-    EXPECT_EQ(cached.reusedArrays, fresh.reusedArrays);
-    EXPECT_EQ(cached.plan.computeArrays, fresh.plan.computeArrays);
-    EXPECT_EQ(cached.plan.memoryArrays, fresh.plan.memoryArrays);
-    ASSERT_EQ(cached.allocs.size(), fresh.allocs.size());
-    for (std::size_t i = 0; i < cached.allocs.size(); ++i) {
-        EXPECT_EQ(cached.allocs[i].computeArrays,
-                  fresh.allocs[i].computeArrays);
-        EXPECT_EQ(cached.allocs[i].memInArrays, fresh.allocs[i].memInArrays);
-        EXPECT_EQ(cached.allocs[i].memOutArrays,
-                  fresh.allocs[i].memOutArrays);
-    }
-}
-
 class Seeded : public ::testing::TestWithParam<int>
 {
   protected:
@@ -209,9 +190,9 @@ TEST_P(RangeCacheConsistency, CachedAllocationsEqualFreshRecomputes)
             segmenter.allocationForRange(ops, lo, hi);
         EXPECT_EQ(&cached, &rehit);
         EXPECT_GT(segmenter.cacheHits(), hits_before);
-        expectSameAllocation(cached,
-                             fresh.allocate(makeSegmentView(ops, lo, hi)),
-                             lo, hi);
+        SCOPED_TRACE(concat("range [", lo, ", ", hi, ")"));
+        testing::expectSameAllocation(
+            cached, fresh.allocate(makeSegmentView(ops, lo, hi)));
     }
 }
 

@@ -7,7 +7,10 @@
 #ifndef CMSWITCH_TESTS_TEST_UTIL_HPP
 #define CMSWITCH_TESTS_TEST_UTIL_HPP
 
+#include <gtest/gtest.h>
+
 #include "arch/chip_config.hpp"
+#include "compiler/allocator.hpp"
 #include "cost/cost_model.hpp"
 #include "graph/graph.hpp"
 #include "support/random.hpp"
@@ -56,6 +59,23 @@ randomWorkload(Rng &rng, const ChipConfig &chip, s64 max_tiles = 3)
     w.aiMacsPerByte = static_cast<double>(w.macs)
                     / static_cast<double>(w.trafficBytes());
     return w;
+}
+
+/** Two segment allocations agree field for field. */
+inline void
+expectSameAllocation(const SegmentAllocation &a, const SegmentAllocation &b)
+{
+    EXPECT_EQ(a.intraLatency, b.intraLatency);
+    EXPECT_EQ(a.reusedArrays, b.reusedArrays);
+    EXPECT_EQ(a.plan.computeArrays, b.plan.computeArrays);
+    EXPECT_EQ(a.plan.memoryArrays, b.plan.memoryArrays);
+    ASSERT_EQ(a.allocs.size(), b.allocs.size());
+    for (std::size_t i = 0; i < a.allocs.size(); ++i) {
+        SCOPED_TRACE("op " + std::to_string(i));
+        EXPECT_EQ(a.allocs[i].computeArrays, b.allocs[i].computeArrays);
+        EXPECT_EQ(a.allocs[i].memInArrays, b.allocs[i].memInArrays);
+        EXPECT_EQ(a.allocs[i].memOutArrays, b.allocs[i].memOutArrays);
+    }
 }
 
 /** Chain graph of @p n matmuls: in -> fc0 -> relu -> fc1 -> ... */
